@@ -204,30 +204,29 @@ def p_max_below_h1(
     return min(max(total, 0.0), 1.0)
 
 
-def _enumerated_tail_sum(fail: list[float], tails: list[float]) -> float:
-    """Reference path: sum over all non-empty relay subsets in bitmask order.
+def _cardinality_pmf(fail: list[float]) -> list[float]:
+    """Entry k: probability that exactly k relays decode, given per-relay
+    first-hop failure probabilities.
 
-    For each subset, multiply per-relay success/failure factors and the
-    second-hop failure probability for its cardinality.  Exponential in the
-    relay count; kept as the oracle the grouped fast path is tested against.
+    The subset sum depends only on the decoding-set size, so its weights are
+    the Poisson-binomial pmf.  Relays with equal failure probability form one
+    binomial group, and the groups are convolved; with every relay distinct
+    this is the O(N^2) recursion of Y. Hong (CSDA 59:41-51, 2013).  All terms
+    are nonnegative, so the accumulation cancels nothing.
     """
-    n = len(fail)
-    succ = [1.0 - f for f in fail]
-    terms = []
-    for mask in range(1, 1 << n):
-        w = tails[mask.bit_count()]
-        for i in range(n):
-            w *= succ[i] if (mask >> i) & 1 else fail[i]
-        terms.append(w)
-    return math.fsum(terms)
-
-
-def _grouped_tail_sum(fail: float, n: int, tails: list[float]) -> float:
-    """Fast path for i.i.d. relays: group subsets of equal cardinality."""
-    succ = 1.0 - fail
-    return math.fsum(
-        math.comb(n, k) * succ**k * fail ** (n - k) * tails[k] for k in range(1, n + 1)
-    )
+    pmf = None
+    for f in dict.fromkeys(fail):
+        m = fail.count(f)
+        group = [math.comb(m, j) * (1.0 - f) ** j * f ** (m - j) for j in range(m + 1)]
+        if pmf is None:  # one group alone is already the pmf, term for term
+            pmf = group
+            continue
+        out = [0.0] * (len(pmf) + m)
+        for i, a in enumerate(pmf):
+            for j, b in enumerate(group):
+                out[i + j] += a * b
+        pmf = out
+    return pmf
 
 
 def _first_hop_failures(params: SystemParams, delta: float) -> tuple[list[float], list[float]]:
@@ -240,46 +239,25 @@ def _first_hop_failures(params: SystemParams, delta: float) -> tuple[list[float]
     return f0, f1
 
 
-def _relay_scheme_outage(
-    params: SystemParams,
-    tail_h0,
-    tail_h1,
-    force_enumeration: bool,
-) -> OutageBreakdown:
+def _relay_scheme_outage(params: SystemParams, tail_h0, tail_h1) -> OutageBreakdown:
     post = params.posterior()
     delta = params.snr_threshold().delta
-    n = params.n_relays
     f0, f1 = _first_hop_failures(params, delta)
-
-    empty_h0 = post.pi0 * math.prod(f0)
-    empty_h1 = post.pi1 * math.prod(f1)
-
-    tails0 = [0.0] + [tail_h0(k) for k in range(1, n + 1)]
-    tails1 = [0.0] + [tail_h1(k) for k in range(1, n + 1)]
-    if params.variances.is_homogeneous and not force_enumeration:
-        sum_h0 = _grouped_tail_sum(f0[0], n, tails0)
-        sum_h1 = _grouped_tail_sum(f1[0], n, tails1)
-    else:
-        sum_h0 = _enumerated_tail_sum(f0, tails0)
-        sum_h1 = _enumerated_tail_sum(f1, tails1)
-
+    pmf0 = _cardinality_pmf(f0)
+    pmf1 = _cardinality_pmf(f1)
+    sizes = range(1, params.n_relays + 1)
     return OutageBreakdown.from_components(
-        empty_h0=empty_h0,
-        empty_h1=empty_h1,
-        nonempty_h0=post.pi0 * sum_h0,
-        nonempty_h1=post.pi1 * sum_h1,
+        empty_h0=post.pi0 * pmf0[0],
+        empty_h1=post.pi1 * pmf1[0],
+        nonempty_h0=post.pi0 * math.fsum(pmf0[k] * tail_h0(k) for k in sizes),
+        nonempty_h1=post.pi1 * math.fsum(pmf1[k] * tail_h1(k) for k in sizes),
     )
 
 
-def outage_multi_relay(
-    params: SystemParams, *, force_enumeration: bool = False
-) -> OutageBreakdown:
+def outage_multi_relay(params: SystemParams) -> OutageBreakdown:
     """Outage of the all-decoders scheme: every relay that decoded forwards,
     and the destination combines the branches coherently, so the second hop
     fails only when the *sum* of member gains falls below the threshold.
-
-    ``force_enumeration`` bypasses the i.i.d. cardinality-grouping fast path
-    and evaluates the full subset sum (testing hook; identical result).
     """
     v = params.variances
     delta = params.snr_threshold().delta
@@ -287,13 +265,10 @@ def outage_multi_relay(
         params,
         tail_h0=lambda k: p_sum_below_h0(delta, v.sigma2_d, k),
         tail_h1=lambda k: p_sum_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k),
-        force_enumeration=force_enumeration,
     )
 
 
-def outage_best_relay(
-    params: SystemParams, *, force_enumeration: bool = False
-) -> OutageBreakdown:
+def outage_best_relay(params: SystemParams) -> OutageBreakdown:
     """Outage of the single-best-relay benchmark.
 
     Same first-hop decoding-set probabilities as the multi-relay scheme, but
@@ -308,7 +283,6 @@ def outage_best_relay(
         params,
         tail_h0=lambda k: p_max_below_h0(delta, v.sigma2_d, k),
         tail_h1=lambda k: p_max_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k),
-        force_enumeration=force_enumeration,
     )
 
 
@@ -330,9 +304,7 @@ def outage_direct(params: SystemParams) -> OutageBreakdown:
     )
 
 
-def decoding_cardinality_pmf(
-    params: SystemParams, *, force_enumeration: bool = False
-) -> tuple[float, ...]:
+def decoding_cardinality_pmf(params: SystemParams) -> tuple[float, ...]:
     """Distribution of the decoding-set size given a declared hole.
 
     Entry k is the probability that exactly k relays decode the first hop,
@@ -340,23 +312,7 @@ def decoding_cardinality_pmf(
     posterior.  Sums to 1.
     """
     post = params.posterior()
-    delta = params.snr_threshold().delta
-    n = params.n_relays
-    f0, f1 = _first_hop_failures(params, delta)
-
-    def weights(fail: list[float]) -> list[float]:
-        if params.variances.is_homogeneous and not force_enumeration:
-            f = fail[0]
-            return [math.comb(n, k) * (1.0 - f) ** k * f ** (n - k) for k in range(n + 1)]
-        succ = [1.0 - f for f in fail]
-        by_k: list[list[float]] = [[] for _ in range(n + 1)]
-        for mask in range(1 << n):
-            w = 1.0
-            for i in range(n):
-                w *= succ[i] if (mask >> i) & 1 else fail[i]
-            by_k[mask.bit_count()].append(w)
-        return [math.fsum(group) for group in by_k]
-
-    w0 = weights(f0)
-    w1 = weights(f1)
-    return tuple(post.pi0 * w0[k] + post.pi1 * w1[k] for k in range(n + 1))
+    f0, f1 = _first_hop_failures(params, params.snr_threshold().delta)
+    w0 = _cardinality_pmf(f0)
+    w1 = _cardinality_pmf(f1)
+    return tuple(post.pi0 * a + post.pi1 * b for a, b in zip(w0, w1))

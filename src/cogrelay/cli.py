@@ -26,6 +26,7 @@ from .model import (
     Scheme,
     SystemParams,
     db_to_linear,
+    snr_threshold,
 )
 from .montecarlo import OutageEstimate, estimate_outage
 
@@ -106,6 +107,17 @@ def _require_positive(value, field: str) -> float:
     return v
 
 
+def _linear_snr(x_db: float, field: str) -> float:
+    """Linear form of a dB value, which must be finite and > 0."""
+    try:
+        v = db_to_linear(x_db)
+    except OverflowError:
+        v = math.inf
+    if not 0.0 < v < math.inf:
+        raise ConfigError(f"{field}: {x_db:g} dB has no finite positive linear value")
+    return v
+
+
 def _variance_vector(value, field: str, relay_counts: tuple[int, ...]) -> tuple[float, ...] | float:
     if isinstance(value, (list, tuple)):
         vec = tuple(_require_positive(x, f"{field}[{i}]") for i, x in enumerate(value))
@@ -133,9 +145,10 @@ def build_spec(data: dict) -> SweepSpec:
     axis = cfg["gamma_s_db"]
     if not isinstance(axis, (list, tuple)) or not axis:
         raise ConfigError("gamma_s_db: must be a non-empty list of dB values")
-    gamma_s_db = tuple(float(x) for x in axis)
-    if any(math.isnan(x) or math.isinf(x) for x in gamma_s_db):
-        raise ConfigError("gamma_s_db: values must be finite")
+    try:
+        gamma_s_db = tuple(float(x) for x in axis)
+    except (TypeError, ValueError):
+        raise ConfigError(f"gamma_s_db: expected a list of numbers, got {axis!r}") from None
 
     raw_schemes = cfg["schemes"]
     if not isinstance(raw_schemes, (list, tuple)) or not raw_schemes:
@@ -166,7 +179,7 @@ def build_spec(data: dict) -> SweepSpec:
         if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_RELAYS:
             raise ConfigError(
                 f"relay_counts: each N must be an integer in [1, {MAX_RELAYS}] "
-                f"(the closed form enumerates 2^N decoding sets), got {n!r}"
+                f"(the cap bounds Monte Carlo batch memory), got {n!r}"
             )
         relay_counts.append(n)
     relay_counts = tuple(relay_counts)
@@ -180,12 +193,20 @@ def build_spec(data: dict) -> SweepSpec:
 
     p0 = _require_probability(cfg["p0"], "p0")
     rate = _require_positive(cfg["rate"], "rate")
+    for x in gamma_s_db:
+        try:
+            delta = snr_threshold(rate, _linear_snr(x, "gamma_s_db")).delta
+        except OverflowError:
+            delta = math.inf
+        if math.isinf(delta):
+            raise ConfigError(
+                f"gamma_s_db: at {x:g} dB and rate {rate:g} the decode threshold is not finite"
+            )
     try:
         gamma_p_db = float(cfg["gamma_p_db"])
     except (TypeError, ValueError):
         raise ConfigError(f"gamma_p_db: expected a number, got {cfg['gamma_p_db']!r}") from None
-    if math.isnan(gamma_p_db) or math.isinf(gamma_p_db):
-        raise ConfigError(f"gamma_p_db: must be finite, got {gamma_p_db}")
+    gamma_p = _linear_snr(gamma_p_db, "gamma_p_db")
 
     s2si = _variance_vector(cfg["sigma2_si"], "sigma2_si", relay_counts)
     s2pi = _variance_vector(cfg["sigma2_pi"], "sigma2_pi", relay_counts)
@@ -193,11 +214,12 @@ def build_spec(data: dict) -> SweepSpec:
     s2pd = _require_positive(cfg["sigma2_pd"], "sigma2_pd")
     s2sd = _require_positive(cfg["sigma2_sd"], "sigma2_sd")
 
+    for i, (pd, pf) in enumerate(sensing_pairs):
+        if p0 * pd + (1.0 - p0) * pf <= 0.0:
+            raise ConfigError(
+                f"sensing_pairs[{i}]: p0*pd + (1-p0)*pf must be > 0, got pd={pd}, pf={pf}"
+            )
     pd0, pf0 = sensing_pairs[0]
-    if p0 * pd0 + (1.0 - p0) * pf0 <= 0.0:
-        raise ConfigError(
-            f"sensing_pairs[0]: p0*pd + (1-p0)*pf must be > 0, got pd={pd0}, pf={pf0}"
-        )
     base_n = relay_counts[0]
     try:
         base = SystemParams(
@@ -205,7 +227,7 @@ def build_spec(data: dict) -> SweepSpec:
             pd=pd0,
             pf=pf0,
             gamma_s=db_to_linear(gamma_s_db[0]),
-            gamma_p=db_to_linear(gamma_p_db),
+            gamma_p=gamma_p,
             rate=rate,
             n_relays=base_n,
             variances=_make_variances(base_n, s2si, s2pi, s2d, s2pd, s2sd),
@@ -232,12 +254,12 @@ def _make_variances(n, s2si, s2pi, s2d, s2pd, s2sd) -> ChannelVariances:
     )
 
 
-def load_config(path: str) -> SweepSpec:
-    """Read and validate a JSON config file (schema: the _DEFAULTS keys)."""
+def _read_config(path: str) -> dict:
+    """Read a JSON config file and return its top-level object."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         data = json.loads(text)
@@ -245,7 +267,12 @@ def load_config(path: str) -> SweepSpec:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return build_spec(data)
+    return data
+
+
+def load_config(path: str) -> SweepSpec:
+    """Read and validate a JSON config file (schema: the _DEFAULTS keys)."""
+    return build_spec(_read_config(path))
 
 
 def _params_at(spec: SweepSpec, pd: float, pf: float, n: int, gamma_s_db: float) -> SystemParams:
@@ -491,25 +518,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
-    data = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{args.config}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-                ) from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config}: top level must be a JSON object")
+    data = _read_config(args.config) if args.config else {}
     if args.gamma_s_db is not None:
         data["gamma_s_db"] = args.gamma_s_db
     if args.scheme is not None:
         data["schemes"] = args.scheme
     if args.pd is not None or args.pf is not None:
-        pairs = data.get("sensing_pairs", _DEFAULTS["sensing_pairs"])
-        pd = args.pd if args.pd is not None else pairs[0][0]
-        pf = args.pf if args.pf is not None else pairs[0][1]
+        try:
+            pd, pf = data.get("sensing_pairs", _DEFAULTS["sensing_pairs"])[0]
+        except (TypeError, ValueError, IndexError, KeyError):
+            pd = pf = None
+        pd = args.pd if args.pd is not None else pd
+        pf = args.pf if args.pf is not None else pf
         data["sensing_pairs"] = [[pd, pf]]
     if args.n_relays is not None:
         data["relay_counts"] = args.n_relays

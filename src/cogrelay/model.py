@@ -26,8 +26,8 @@ __all__ = [
     "snr_threshold",
 ]
 
-# The closed-form outage sum enumerates all 2^N - 1 decoding sets; past this
-# the analytic path is intractable and the cap makes that failure explicit.
+# Bounds Monte Carlo batch memory: a batch holds 16384 x (3N+3) float64
+# uniforms, 9.8 MB at N=24.  The closed forms cost O(N^2) and need no cap.
 MAX_RELAYS = 24
 
 
@@ -137,14 +137,6 @@ class ChannelVariances:
             sigma2_sd=sigma2_sd,
         )
 
-    @property
-    def is_homogeneous(self) -> bool:
-        """True when every relay shares the same first-hop variances."""
-        return (
-            len(set(self.sigma2_si)) == 1
-            and len(set(self.sigma2_pi)) == 1
-        )
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -183,8 +175,8 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         if not 1 <= self.n_relays <= MAX_RELAYS:
             raise ValueError(
-                f"n_relays must be in [1, {MAX_RELAYS}] (the decoding-set "
-                f"enumeration is exponential in N), got {self.n_relays}"
+                f"n_relays must be in [1, {MAX_RELAYS}] (the cap bounds Monte "
+                f"Carlo batch memory), got {self.n_relays}"
             )
         if len(self.variances.sigma2_si) != self.n_relays:
             raise ValueError(

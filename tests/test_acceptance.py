@@ -30,6 +30,7 @@ from cogrelay.cli import (
 from cogrelay.model import Scheme
 from cogrelay.montecarlo import outage_flags
 from cogrelay.specfun import reg_lower_gamma
+from oracle import MAX_ORACLE_RELAYS, enumerated_outage
 
 WORKERS = 2
 
@@ -160,26 +161,39 @@ def test_criterion_6_sweep_is_deterministic_across_workers():
 
 
 def test_criterion_7_grouped_fast_path_equals_enumeration():
-    """For homogeneous relays the cardinality-grouped closed form equals the
-    full 2^N - 1 subset enumeration to 1e-12, N = 1..10."""
+    """The closed forms, which weight the second-hop tails by the
+    decoding-set size distribution, equal the explicit sum over all 2^N - 1
+    decoding sets (the test oracle) to 1e-12 for N = 1..12: homogeneous
+    relays, all-distinct per-relay variances, and one 3+4 two-group mix."""
     rng = np.random.default_rng(77)
-    worst = 0.0
-    for n in range(1, 11):
-        params = _params(
-            float(rng.uniform(0.0, 30.0)),
-            pd=float(rng.uniform(0.5, 1.0)),
-            pf=float(rng.uniform(0.0, 0.5)),
-            n_relays=n,
+    cases = []
+    for n in range(1, MAX_ORACLE_RELAYS + 1):
+        g_db = float(rng.uniform(0.0, 30.0))
+        pd = float(rng.uniform(0.5, 1.0))
+        pf = float(rng.uniform(0.0, 0.5))
+        cases.append(_params(
+            g_db, pd=pd, pf=pf, n_relays=n,
             sigma2_si=float(rng.uniform(0.3, 2.0)),
             sigma2_pi=float(rng.uniform(0.05, 0.8)),
-        )
-        for fn in (outage_multi_relay, outage_best_relay):
-            fast = fn(params)
-            ref = fn(params, force_enumeration=True)
-            diff = abs(fast.total - ref.total)
+        ))
+        cases.append(_params(
+            g_db, pd=pd, pf=pf, n_relays=n,
+            sigma2_si=tuple(float(x) for x in rng.uniform(0.3, 2.0, n)),
+            sigma2_pi=tuple(float(x) for x in rng.uniform(0.05, 0.8, n)),
+        ))
+    cases.append(_params(
+        15.0, n_relays=7, sigma2_si=(0.7,) * 3 + (1.6,) * 4, sigma2_pi=(0.3,) * 3 + (0.1,) * 4,
+    ))
+    worst = 0.0
+    for params in cases:
+        for scheme in (Scheme.MULTI_RELAY, Scheme.BEST_RELAY):
+            got = ANALYTIC_BY_SCHEME[scheme](params)
+            ref = enumerated_outage(params, scheme)
+            diff = abs(got.total - ref.total)
             worst = max(worst, diff)
-            assert diff <= 1e-12, (fn.__name__, n, diff)
-    report(7, f"fast path equals enumeration for N=1..10 (worst |diff| = {worst:.2e})")
+            assert diff <= 1e-12, (scheme, params.n_relays, params.variances, diff)
+    report(7, f"{len(cases)} closed-form points equal the subset enumeration for "
+              f"N=1..{MAX_ORACLE_RELAYS} (worst |diff| = {worst:.2e})")
 
 
 def test_criterion_8_validation_flags_injected_faults():
@@ -204,6 +218,9 @@ def test_criterion_8_validation_flags_injected_faults():
 def _params(gamma_s_db, *, pd=0.9, pf=0.1, n_relays=6, sigma2_si=1.0, sigma2_pi=0.2):
     from cogrelay.model import ChannelVariances, SystemParams, db_to_linear
 
+    def per_relay(v):  # scalar = the same variance at every relay
+        return v if isinstance(v, tuple) else (v,) * n_relays
+
     return SystemParams(
         p0=0.8,
         pd=pd,
@@ -212,7 +229,11 @@ def _params(gamma_s_db, *, pd=0.9, pf=0.1, n_relays=6, sigma2_si=1.0, sigma2_pi=
         gamma_p=db_to_linear(10.0),
         rate=1.0,
         n_relays=n_relays,
-        variances=ChannelVariances.homogeneous(
-            n_relays, sigma2_si=sigma2_si, sigma2_pi=sigma2_pi
+        variances=ChannelVariances(
+            sigma2_si=per_relay(sigma2_si),
+            sigma2_pi=per_relay(sigma2_pi),
+            sigma2_d=1.0,
+            sigma2_pd=0.2,
+            sigma2_sd=1.0,
         ),
     )

@@ -18,8 +18,44 @@ from cogrelay.analytic import (
     p_sum_below_h0,
     p_sum_below_h1,
 )
-from cogrelay.model import ChannelVariances
+from cogrelay.model import ChannelVariances, Scheme
 from cogrelay.specfun import reg_lower_gamma
+from oracle import MAX_ORACLE_RELAYS, enumerated_cardinality_pmf, enumerated_outage
+
+BREAKDOWN_FIELDS = ("total", "empty_h0", "empty_h1", "nonempty_h0", "nonempty_h1")
+
+# two variance groups of 3 and 4 relays: the size distribution convolves two
+# binomials rather than collapsing to one
+MIXED_VARIANCES = ChannelVariances(
+    sigma2_si=(0.7,) * 3 + (1.6,) * 4,
+    sigma2_pi=(0.3,) * 3 + (0.1,) * 4,
+    sigma2_d=1.0,
+    sigma2_pd=0.2,
+    sigma2_sd=1.0,
+)
+
+
+def random_variances(rng, n):
+    """Per-relay first-hop variances, all distinct with probability one."""
+    return ChannelVariances(
+        sigma2_si=tuple(float(x) for x in rng.uniform(0.3, 2.0, n)),
+        sigma2_pi=tuple(float(x) for x in rng.uniform(0.05, 0.8, n)),
+        sigma2_d=1.0,
+        sigma2_pd=0.2,
+        sigma2_sd=1.0,
+    )
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    assert abs(got - ref) <= rel * abs(ref), (got, ref)
+
+
+def assert_matches_oracle(params, scheme):
+    fn = outage_multi_relay if scheme is Scheme.MULTI_RELAY else outage_best_relay
+    got = fn(params)
+    ref = enumerated_outage(params, scheme)
+    for field in BREAKDOWN_FIELDS:
+        assert_rel_close(getattr(got, field), getattr(ref, field))
 
 
 def quad_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
@@ -251,10 +287,27 @@ class TestMultiRelayOutage:
                 sigma2_pi=float(rng.uniform(0.05, 0.8)),
             )
             fast = outage_multi_relay(params)
-            ref = outage_multi_relay(params, force_enumeration=True)
+            ref = enumerated_outage(params, Scheme.MULTI_RELAY)
             assert fast.total == pytest.approx(ref.total, abs=1e-12)
             assert fast.nonempty_h0 == pytest.approx(ref.nonempty_h0, abs=1e-12)
             assert fast.nonempty_h1 == pytest.approx(ref.nonempty_h1, abs=1e-12)
+
+    def test_heterogeneous_equals_enumeration(self, make_params):
+        rng = np.random.default_rng(13)
+        for n in range(1, MAX_ORACLE_RELAYS + 1):
+            params = make_params(
+                float(rng.uniform(0.0, 30.0)),
+                pd=float(rng.uniform(0.5, 1.0)),
+                pf=float(rng.uniform(0.0, 0.5)),
+                n_relays=n,
+                variances=random_variances(rng, n),
+            )
+            assert_matches_oracle(params, Scheme.MULTI_RELAY)
+
+    def test_mixed_groups_equal_enumeration(self, make_params):
+        for g_db in (0.0, 10.0, 25.0):
+            params = make_params(g_db, n_relays=7, variances=MIXED_VARIANCES)
+            assert_matches_oracle(params, Scheme.MULTI_RELAY)
 
     def test_heterogeneous_against_brute_force(self, make_params):
         params = make_params(
@@ -303,8 +356,23 @@ class TestBestRelayOutage:
     def test_grouped_fast_path_equals_enumeration(self, make_params):
         params = make_params(12.0, n_relays=7)
         fast = outage_best_relay(params)
-        ref = outage_best_relay(params, force_enumeration=True)
+        ref = enumerated_outage(params, Scheme.BEST_RELAY)
         assert fast.total == pytest.approx(ref.total, abs=1e-12)
+
+    def test_heterogeneous_equals_enumeration(self, make_params):
+        rng = np.random.default_rng(19)
+        for n in range(1, MAX_ORACLE_RELAYS + 1):
+            params = make_params(
+                float(rng.uniform(0.0, 30.0)),
+                n_relays=n,
+                variances=random_variances(rng, n),
+            )
+            assert_matches_oracle(params, Scheme.BEST_RELAY)
+
+    def test_mixed_groups_equal_enumeration(self, make_params):
+        for g_db in (0.0, 10.0, 25.0):
+            params = make_params(g_db, n_relays=7, variances=MIXED_VARIANCES)
+            assert_matches_oracle(params, Scheme.BEST_RELAY)
 
 
 class TestDirectOutage:
@@ -338,8 +406,37 @@ class TestDecodingCardinalityPmf:
     def test_matches_enumeration(self, make_params):
         params = make_params(6.0, n_relays=5)
         fast = decoding_cardinality_pmf(params)
-        ref = decoding_cardinality_pmf(params, force_enumeration=True)
+        ref = enumerated_cardinality_pmf(params)
         assert fast == pytest.approx(ref, abs=1e-12)
+
+    def test_heterogeneous_matches_enumeration(self, make_params):
+        rng = np.random.default_rng(3)
+        for n in range(1, MAX_ORACLE_RELAYS + 1):
+            params = make_params(
+                float(rng.uniform(0.0, 30.0)),
+                pf=float(rng.uniform(0.0, 0.5)),
+                n_relays=n,
+                variances=random_variances(rng, n),
+            )
+            pmf = decoding_cardinality_pmf(params)
+            ref = enumerated_cardinality_pmf(params)
+            assert len(pmf) == n + 1
+            for got, want in zip(pmf, ref):
+                assert_rel_close(got, want)
+
+    def test_mixed_groups_match_enumeration(self, make_params):
+        params = make_params(6.0, n_relays=7, variances=MIXED_VARIANCES)
+        for got, want in zip(decoding_cardinality_pmf(params), enumerated_cardinality_pmf(params)):
+            assert_rel_close(got, want)
+
+    def test_large_heterogeneous_sums_to_one(self, make_params):
+        # far beyond what subset enumeration could reach
+        n = 24
+        params = make_params(5.0, n_relays=n, variances=random_variances(np.random.default_rng(8), n))
+        pmf = decoding_cardinality_pmf(params)
+        assert len(pmf) == n + 1
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+        assert all(p >= 0.0 for p in pmf)
 
     def test_two_relay_binomial_by_hand(self, make_params):
         params = make_params(10.0, pd=1.0, pf=0.0, n_relays=2)

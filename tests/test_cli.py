@@ -1,9 +1,14 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cogrelay
 from cogrelay.cli import (
     CSV_HEADER,
     ConfigError,
@@ -72,7 +77,7 @@ class TestBuildSpec:
             build_spec({"sensing_pairs": [[0.9, 1.3]]})
 
     def test_oversized_relay_count_cites_the_cap(self):
-        with pytest.raises(ConfigError, match="2\\^N"):
+        with pytest.raises(ConfigError, match="\\[1, 24\\]"):
             build_spec({"relay_counts": [30]})
 
     @pytest.mark.parametrize(
@@ -289,3 +294,41 @@ class TestMainEntry:
         assert rc == 0
         fields = out.splitlines()[1].split(",")
         assert fields[2] == "0.95" and fields[3] == "0.05"
+
+
+@pytest.mark.parametrize(
+    "flags,config",
+    [
+        pytest.param(["--gamma-s-db", "0,1e308"], None, id="later-point-overflows"),
+        pytest.param(["--gamma-s-db", "0,-1e308"], None, id="later-point-underflows"),
+        pytest.param(["--gamma-s-db", "1e308"], None, id="first-point-overflows"),
+        pytest.param(["--gamma-s-db", "0,-3079"], None, id="infinite-threshold"),
+        pytest.param([], "missing", id="missing-config"),
+        pytest.param([], b"\xff\xfe{}", id="config-not-utf8"),
+        pytest.param([], {"sensing_pairs": [[0.9, 0.1], [0, 0]]}, id="later-pair-never-fires"),
+        pytest.param([], {"gamma_p_db": 1e308}, id="gamma-p-overflows"),
+        pytest.param([], {"rate": 1000}, id="rate-overflows-threshold"),
+        pytest.param([], {"gamma_s_db": ["x"]}, id="non-numeric-axis"),
+        pytest.param(["--pd", "0.9"], {"sensing_pairs": 5}, id="pd-flag-over-malformed-pairs"),
+    ],
+)
+def test_bad_input_exits_2_before_any_output(tmp_path, flags, config):
+    """A malformed input anywhere in the grid is rejected up front: exit code
+    2, one `error:` line on stderr, no traceback, and not even the CSV header."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        if isinstance(config, bytes):
+            path.write_bytes(config)
+        elif isinstance(config, dict):
+            path.write_text(json.dumps(config))
+        flags = ["--config", str(path), *flags]
+    env = {**os.environ, "PYTHONPATH": str(Path(cogrelay.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cogrelay.cli", "sweep", *flags],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert proc.stdout == ""

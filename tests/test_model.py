@@ -114,14 +114,14 @@ class TestChannelVariances:
         v = ChannelVariances.homogeneous(4)
         assert v.sigma2_si == (1.0,) * 4
         assert v.sigma2_pi == (0.2,) * 4
-        assert v.is_homogeneous
 
     def test_heterogeneous_detection(self):
         v = ChannelVariances(
             sigma2_si=(1.0, 2.0), sigma2_pi=(0.2, 0.2),
             sigma2_d=1.0, sigma2_pd=0.2, sigma2_sd=1.0,
         )
-        assert not v.is_homogeneous
+        assert v.sigma2_si == (1.0, 2.0)
+        assert v.sigma2_pi == (0.2, 0.2)
 
     @pytest.mark.parametrize("field,value", [
         ("sigma2_d", 0.0), ("sigma2_pd", -1.0), ("sigma2_sd", math.inf),
