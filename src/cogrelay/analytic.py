@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .model import SystemParams
-from .specfun import reg_lower_gamma, scaled_upper_gamma_term
+from .specfun import _poisson_cdf_terms, reg_lower_gamma, scaled_upper_gamma_term
 
 __all__ = [
     "DecodingSet",
@@ -156,6 +156,11 @@ def p_sum_below_h1(
     weak interference while the combined term stays finite.  delta = 0 is the
     vanishing-threshold limit and returns 0 directly (the 1/delta factor in
     the denominator is otherwise singular).
+
+    Where the k-th power in the denominator passes the float range (small
+    delta against c, so high SNR), the tail term is summed in the form
+    e^{-a} sum_{m<k} a^m/m! * (a/(a+c))^(k-m), equal because
+    1 + sigma2_d*c/delta = (a+c)/a, whose factors never exceed 1.
     """
     _check_delta(delta)
     _check_positive(sigma2_d=sigma2_d, sigma2_pd=sigma2_pd, gamma_p=gamma_p)
@@ -163,9 +168,15 @@ def p_sum_below_h1(
         return 0.0
     a = delta / sigma2_d
     c = 1.0 / (sigma2_pd * gamma_p)
-    denom = (1.0 + sigma2_d / (sigma2_pd * gamma_p * delta)) ** k
-    tail = scaled_upper_gamma_term(k, a, c) / denom
-    return min(reg_lower_gamma(k, a) + tail, 1.0)
+    lower = reg_lower_gamma(k, a)
+    try:
+        denom = (1.0 + sigma2_d / (sigma2_pd * gamma_p * delta)) ** k
+    except OverflowError:
+        r = a / (a + c)
+        tail = math.fsum(t * r ** (k - m) for m, t in enumerate(_poisson_cdf_terms(k, a)))
+    else:
+        tail = scaled_upper_gamma_term(k, a, c) / denom
+    return min(lower + tail, 1.0)
 
 
 def p_max_below_h0(delta: float, sigma2_d: float, k: int) -> float:

@@ -28,7 +28,7 @@ from .model import (
     db_to_linear,
     snr_threshold,
 )
-from .montecarlo import OutageEstimate, estimate_outage
+from .montecarlo import MAX_WORKERS, OutageEstimate, estimate_outage, shutdown_pool
 
 __all__ = [
     "CSV_HEADER",
@@ -353,21 +353,27 @@ class SweepRow:
 
 
 def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
-    for scheme, pd, pf, n, g in sweep_points(spec):
-        params = _params_at(spec, pd, pf, n, g)
-        total = analytic_outage(params, scheme).total
-        est = None
-        if spec.trials > 0:
-            est = estimate_outage(params, scheme, spec.trials, spec.seed, workers=workers)
-        yield SweepRow(
-            scheme=scheme,
-            n_relays=n,
-            pd=pd,
-            pf=pf,
-            gamma_s_db=g,
-            analytic_outage=total,
-            estimate=est,
-        )
+    """Yield one SweepRow per grid point, in emission order.  The sweep's
+    Monte Carlo points share one worker pool, which is shut down when the
+    rows run out or the generator is closed."""
+    try:
+        for scheme, pd, pf, n, g in sweep_points(spec):
+            params = _params_at(spec, pd, pf, n, g)
+            total = analytic_outage(params, scheme).total
+            est = None
+            if spec.trials > 0:
+                est = estimate_outage(params, scheme, spec.trials, spec.seed, workers=workers)
+            yield SweepRow(
+                scheme=scheme,
+                n_relays=n,
+                pd=pd,
+                pf=pf,
+                gamma_s_db=g,
+                analytic_outage=total,
+                estimate=est,
+            )
+    finally:
+        shutdown_pool()
 
 
 def run_sweep(spec: SweepSpec, out, workers: int = 1) -> int:
@@ -487,7 +493,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, metavar="INT",
                         help=f"base RNG seed (default {_DEFAULTS['seed']})")
     parser.add_argument("--workers", type=int, default=1, metavar="INT",
-                        help="parallel simulation workers; results are identical for any value")
+                        help=f"Monte Carlo worker processes, 1 to {MAX_WORKERS}; one pool "
+                             "serves the whole run, and results are identical for any value")
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
@@ -568,13 +575,16 @@ def _cmd_simulate(spec: SweepSpec, args, out) -> int:
     params = _params_at(spec, pd, pf, n, g)
     print(f"# operating point: gamma_s={g:g} dB, pd={pd:g}, pf={pf:g}, N={n}", file=out)
     print(f"# {RATE_CONVENTION_NOTE}", file=out)
-    for scheme in spec.schemes:
-        est = estimate_outage(params, scheme, spec.trials, spec.seed, workers=args.workers)
-        print(
-            f"{scheme.value:>6}: p_hat={est.p_hat:.10g}  stderr={est.stderr:.10g}  "
-            f"trials={est.trials}  seed={est.seed}",
-            file=out,
-        )
+    try:
+        for scheme in spec.schemes:
+            est = estimate_outage(params, scheme, spec.trials, spec.seed, workers=args.workers)
+            print(
+                f"{scheme.value:>6}: p_hat={est.p_hat:.10g}  stderr={est.stderr:.10g}  "
+                f"trials={est.trials}  seed={est.seed}",
+                file=out,
+            )
+    finally:
+        shutdown_pool()
     return 0
 
 
@@ -595,8 +605,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        if args.workers is None or args.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {args.workers}")
+        if not 1 <= args.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers: must be an integer in [1, {MAX_WORKERS}], got {args.workers}")
         handler = {
             "analytic": _cmd_analytic,
             "simulate": _cmd_simulate,

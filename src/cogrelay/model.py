@@ -26,8 +26,9 @@ __all__ = [
     "snr_threshold",
 ]
 
-# Bounds Monte Carlo batch memory: a batch holds 16384 x (3N+3) float64
-# uniforms, 9.8 MB at N=24.  The closed forms cost O(N^2) and need no cap.
+# Bounds Monte Carlo batch memory: the kernel holds one block of 2048 x (3N+3)
+# float64 uniforms at a time, 1.2 MB at N=24.  The closed forms cost O(N^2)
+# and need no cap.
 MAX_RELAYS = 24
 
 

@@ -8,9 +8,21 @@ the decode tests and combiner SINR depend on gains only.
 
 Reproducibility contract: trial t consumes row t % TRIALS_PER_BATCH of a
 uniform matrix generated by a counter-based Philox stream keyed with
-(seed, t // TRIALS_PER_BATCH).  Batches are fixed-size regardless of the
-requested trial count, so estimates are bit-identical for any worker count
-and any longer run reproduces a shorter run's trials exactly as its prefix.
+(seed, t // TRIALS_PER_BATCH).  The kernel draws that matrix in blocks of
+BLOCK_ROWS consecutive rows, one block after another from the same stream,
+so every row holds exactly the uniforms a single whole-matrix draw would.
+Batches are fixed-size regardless of the requested trial count, so
+estimates are bit-identical for any worker count and any longer run
+reproduces a shorter run's trials exactly as its prefix.
+
+Worker pool: ``estimate_outage`` with workers > 1 hands batches to one
+process pool, started at the first pooled batch and reused by every later
+call with the same worker count (another count replaces it).  The pool
+outlives the call; ``shutdown_pool`` stops it and reaps its processes.  The
+CLI calls it when a sweep or a simulate run ends, so no worker outlives one.
+The worker count is capped at MAX_WORKERS, checked before any pool exists.
+The pool is module state, so pooled calls must come from one thread at a
+time.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from .analytic import DecodingSet
 from .model import Hypothesis, Posterior, Scheme, SnrThreshold, SystemParams
 
 __all__ = [
+    "MAX_WORKERS",
     "TRIALS_PER_BATCH",
     "ChannelState",
     "MrcResult",
@@ -37,10 +50,21 @@ __all__ = [
     "sample_channel_state",
     "sample_exponential",
     "sample_hypothesis",
+    "shutdown_pool",
     "trial_outage",
 ]
 
 TRIALS_PER_BATCH = 16384
+
+# Rows per kernel block.  Small blocks keep each block's temporaries
+# (2048 x (3N+3) float64, 0.34 MB at N=6) from churning the allocator of a
+# long-lived pool worker.  On the validate-acceptance benchmark, 512 and
+# 4096 rows measured slower and 1024 about the same.
+BLOCK_ROWS = 2048
+
+# Upper bound on pool processes; a larger request is refused before any
+# process starts.
+MAX_WORKERS = 64
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -248,29 +272,37 @@ def _batch_outage_flags(
 ) -> np.ndarray:
     """Outage flags for one full batch of TRIALS_PER_BATCH trials.
 
-    Row r holds trial batch_index*TRIALS_PER_BATCH + r.  The whole uniform
-    matrix is always generated, whatever the scheme or how many trials the
-    caller actually needs, so trial outcomes never depend on context.
+    Row r holds trial batch_index*TRIALS_PER_BATCH + r.  The uniform matrix
+    is drawn BLOCK_ROWS rows at a time from the batch's one stream, and every
+    row is always drawn, whatever the scheme or how many trials the caller
+    actually needs, so trial outcomes never depend on context.
     """
     post = params.posterior()
     thr = params.snr_threshold()
     n = params.n_relays
     v = params.variances
+    sigma2_si = np.asarray(v.sigma2_si)
+    sigma2_pi = np.asarray(v.sigma2_pi)
     gen = batch_generator(seed, batch_index)
-    u = gen.random((TRIALS_PER_BATCH, 3 * n + 3))
-    alpha = (u[:, 0] < post.pi1).astype(np.float64)
-    g_pd = exponential_from_uniform(u[:, 3 * n + 1], v.sigma2_pd)
-    interference = alpha * params.gamma_p * g_pd + 1.0
-    if scheme is Scheme.DIRECT:
-        g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
-        return g_sd < thr.delta_direct * interference
-    g_si = exponential_from_uniform(u[:, 1 : n + 1], np.asarray(v.sigma2_si))
-    g_pi = exponential_from_uniform(u[:, n + 1 : 2 * n + 1], np.asarray(v.sigma2_pi))
-    g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
-    decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
-    forwarded = np.where(decoded, g_id, 0.0)
-    combined = forwarded.sum(axis=1) if scheme is Scheme.MULTI_RELAY else forwarded.max(axis=1)
-    return combined < thr.delta * interference
+    flags = np.empty(TRIALS_PER_BATCH, dtype=bool)
+    for start in range(0, TRIALS_PER_BATCH, BLOCK_ROWS):
+        u = gen.random((BLOCK_ROWS, 3 * n + 3))
+        alpha = (u[:, 0] < post.pi1).astype(np.float64)
+        g_pd = exponential_from_uniform(u[:, 3 * n + 1], v.sigma2_pd)
+        interference = alpha * params.gamma_p * g_pd + 1.0
+        out = flags[start : start + BLOCK_ROWS]
+        if scheme is Scheme.DIRECT:
+            g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
+            np.less(g_sd, thr.delta_direct * interference, out=out)
+            continue
+        g_si = exponential_from_uniform(u[:, 1 : n + 1], sigma2_si)
+        g_pi = exponential_from_uniform(u[:, n + 1 : 2 * n + 1], sigma2_pi)
+        g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
+        decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
+        forwarded = np.where(decoded, g_id, 0.0)
+        combined = forwarded.sum(axis=1) if scheme is Scheme.MULTI_RELAY else forwarded.max(axis=1)
+        np.less(combined, thr.delta * interference, out=out)
+    return flags
 
 
 def _batch_outage_count(task) -> int:
@@ -304,6 +336,37 @@ def outage_flags(
     return out
 
 
+# The pool that estimate_outage reuses across calls, and its worker count;
+# started at the first pooled batch, ended by shutdown_pool.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
+def shutdown_pool() -> None:
+    """Stop the worker pool kept by ``estimate_outage`` and reap its
+    processes; the next pooled call starts a new one.  No-op without a pool."""
+    global _pool, _pool_workers
+    pool, _pool, _pool_workers = _pool, None, 0
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _pooled_counts(tasks: list, workers: int) -> list[int]:
+    global _pool, _pool_workers
+    if workers != _pool_workers:
+        shutdown_pool()
+        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool_workers = workers
+    chunk = max(1, len(tasks) // (4 * workers))
+    try:
+        return list(_pool.map(_batch_outage_count, tasks, chunksize=chunk))
+    except BaseException:
+        # a failed or interrupted map may leave tasks queued or a worker
+        # dead; drop the pool rather than hand it to the next call
+        shutdown_pool()
+        raise
+
+
 def estimate_outage(
     params: SystemParams,
     scheme: Scheme,
@@ -313,20 +376,20 @@ def estimate_outage(
 ) -> OutageEstimate:
     """Estimate the outage probability from `trials` independent trials.
 
-    Batches are distributed across `workers` processes; per-batch outage
-    counts are integers, so the total is exactly the same whatever the
-    worker count or scheduling order.
+    With workers > 1, batches are distributed across the shared pool of
+    `workers` processes (see the module docstring for its lifetime);
+    per-batch outage counts are integers, so the total is exactly the same
+    whatever the worker count or scheduling order.  `workers` must lie in
+    [1, MAX_WORKERS].
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     seed = seed & _SEED_MASK
     tasks = list(_batch_tasks(params, scheme, trials, seed))
     if workers == 1 or len(tasks) == 1:
         counts = [_batch_outage_count(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_batch_outage_count, tasks, chunksize=chunk))
+        counts = _pooled_counts(tasks, workers)
     return OutageEstimate.from_count(sum(counts), trials, seed)

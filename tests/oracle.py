@@ -1,14 +1,20 @@
-"""Reference closed forms that sum over every decoding set explicitly.
+"""Reference implementations that the tests compare the package against.
 
-The package weights each second-hop tail by the distribution of the
-decoding-set size.  These functions take the subset sum literally instead:
-one product of per-relay success/failure factors for each of the 2^N relay
+Closed forms: the package weights each second-hop tail by the distribution
+of the decoding-set size.  ``enumerated_outage`` and
+``enumerated_cardinality_pmf`` take the subset sum literally instead: one
+product of per-relay success/failure factors for each of the 2^N relay
 subsets, in bitmask order.  They share the first- and second-hop building
 blocks with the package, so a disagreement isolates the weighting step.
 Exponential in N, so the tests stay at N <= MAX_ORACLE_RELAYS.
+
+Monte Carlo: ``whole_batch_outage_flags`` is the batch kernel drawing a
+batch's uniforms in one piece, the reference for the block-wise kernel.
 """
 
 import math
+
+import numpy as np
 
 from cogrelay.analytic import (
     OutageBreakdown,
@@ -20,6 +26,7 @@ from cogrelay.analytic import (
     p_sum_below_h1,
 )
 from cogrelay.model import Scheme
+from cogrelay.montecarlo import TRIALS_PER_BATCH, batch_generator, exponential_from_uniform
 
 MAX_ORACLE_RELAYS = 12
 
@@ -90,3 +97,31 @@ def enumerated_cardinality_pmf(params):
         for k, w in _subset_probabilities(fail):
             mixed[k].append(weight * w)
     return tuple(math.fsum(terms) for terms in mixed)
+
+
+def whole_batch_outage_flags(params, scheme, seed, batch_index):
+    """Outage flags of one batch from a single whole-matrix draw.
+
+    This is the batch kernel as it stood before it drew its rows in blocks:
+    all TRIALS_PER_BATCH rows of uniforms at once, then every link in one
+    pass.  The package kernel must reproduce it flag for flag.
+    """
+    post = params.posterior()
+    thr = params.snr_threshold()
+    n = params.n_relays
+    v = params.variances
+    gen = batch_generator(seed, batch_index)
+    u = gen.random((TRIALS_PER_BATCH, 3 * n + 3))
+    alpha = (u[:, 0] < post.pi1).astype(np.float64)
+    g_pd = exponential_from_uniform(u[:, 3 * n + 1], v.sigma2_pd)
+    interference = alpha * params.gamma_p * g_pd + 1.0
+    if scheme is Scheme.DIRECT:
+        g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
+        return g_sd < thr.delta_direct * interference
+    g_si = exponential_from_uniform(u[:, 1 : n + 1], np.asarray(v.sigma2_si))
+    g_pi = exponential_from_uniform(u[:, n + 1 : 2 * n + 1], np.asarray(v.sigma2_pi))
+    g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
+    decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
+    forwarded = np.where(decoded, g_id, 0.0)
+    combined = forwarded.sum(axis=1) if scheme is Scheme.MULTI_RELAY else forwarded.max(axis=1)
+    return combined < thr.delta * interference

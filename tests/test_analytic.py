@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -18,7 +19,7 @@ from cogrelay.analytic import (
     p_sum_below_h0,
     p_sum_below_h1,
 )
-from cogrelay.model import ChannelVariances, Scheme
+from cogrelay.model import ChannelVariances, Scheme, db_to_linear, snr_threshold
 from cogrelay.specfun import reg_lower_gamma
 from oracle import MAX_ORACLE_RELAYS, enumerated_cardinality_pmf, enumerated_outage
 
@@ -72,6 +73,18 @@ def quad_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
         epsrel=1e-12,
     )
     return val
+
+
+def sum_below_h1_mpmath(delta, sigma2_d, sigma2_pd, gamma_p, k):
+    """Independent oracle: P(k, a) + e^c Q(k, a+c) (a/(a+c))^k in 60-digit
+    arithmetic, a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p), with the
+    upper tail Q computed natively; no power overflows there."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(delta) / sigma2_d
+        c = 1 / (mpmath.mpf(sigma2_pd) * gamma_p)
+        lower = mpmath.gammainc(k, 0, a, regularized=True)
+        upper = mpmath.gammainc(k, a + c, mpmath.inf, regularized=True)
+        return float(lower + mpmath.e**c * upper * (a / (a + c)) ** k)
 
 
 def brute_force_outage(params, scheme, trials, rng):
@@ -186,6 +199,22 @@ class TestSecondHopSum:
                 quad_sum_below_h1(delta, s2d, s2pd, gp, k), rel=1e-8
             )
             assert 0.0 <= got <= 1.0
+
+    @pytest.mark.parametrize(
+        "delta,s2d,s2pd,gp,k",
+        [
+            (snr_threshold(1.0, db_to_linear(140.0)).delta, 1.0, 0.2, 10.0, 24),
+            (snr_threshold(1.0, db_to_linear(300.0)).delta, 1.0, 0.2, 10.0, 12),
+            (200.0, 1.0, 1.0, 1e-6, 200),
+            (150.0, 1.0, 1.0, 1e-6, 200),
+        ],
+    )
+    def test_h1_overflowing_power_matches_mpmath(self, delta, s2d, s2pd, gp, k):
+        # the case must reach the branch that avoids the overflowing power
+        with pytest.raises(OverflowError):
+            (1.0 + s2d / (s2pd * gp * delta)) ** k
+        got = p_sum_below_h1(delta, s2d, s2pd, gp, k)
+        assert abs(got - sum_below_h1_mpmath(delta, s2d, s2pd, gp, k)) <= 1e-14
 
     def test_h1_weak_interference_collapses_to_h0(self):
         for k in (1, 3, 6):

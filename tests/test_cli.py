@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -285,6 +286,17 @@ class TestMainEntry:
         assert rc == 2
         assert "pd" in capsys.readouterr().err
 
+    def test_overflowing_tail_power_at_high_snr(self, capsys):
+        # (1 + sigma2_d*c/delta)^24 passes the float range at 140 dB
+        rc = main(["sweep", "--gamma-s-db", "0,140", "--n-relays", "24", "--scheme", "multi"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            value = float(row.split(",")[5])
+            assert math.isfinite(value) and 0.0 <= value <= 1.0
+
     def test_pd_pf_flags_replace_pairs(self, capsys):
         rc = main([
             "sweep", "--gamma-s-db", "10", "--scheme", "multi",
@@ -310,6 +322,7 @@ class TestMainEntry:
         pytest.param([], {"rate": 1000}, id="rate-overflows-threshold"),
         pytest.param([], {"gamma_s_db": ["x"]}, id="non-numeric-axis"),
         pytest.param(["--pd", "0.9"], {"sensing_pairs": 5}, id="pd-flag-over-malformed-pairs"),
+        pytest.param(["--workers", "100000"], None, id="workers-over-cap"),
     ],
 )
 def test_bad_input_exits_2_before_any_output(tmp_path, flags, config):

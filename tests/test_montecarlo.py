@@ -1,15 +1,21 @@
+import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from cogrelay import montecarlo
 from cogrelay.analytic import (
     decoding_cardinality_pmf,
     outage_multi_relay,
     p_sum_below_h0,
 )
-from cogrelay.model import Hypothesis, Posterior, Scheme
+from cogrelay.cli import build_spec, iter_sweep_rows, run_sweep
+from cogrelay.model import ChannelVariances, Hypothesis, Posterior, Scheme
 from cogrelay.montecarlo import (
+    MAX_WORKERS,
+    TRIALS_PER_BATCH,
     ChannelState,
     MrcResult,
     OutageEstimate,
@@ -23,8 +29,18 @@ from cogrelay.montecarlo import (
     sample_channel_state,
     sample_exponential,
     sample_hypothesis,
+    shutdown_pool,
     trial_outage,
 )
+from oracle import whole_batch_outage_flags
+
+
+@pytest.fixture(autouse=True)
+def _reap_pool():
+    # estimate_outage keeps its pool between calls by design; tests calling
+    # it directly must not hand their workers to the next test
+    yield
+    shutdown_pool()
 
 
 def make_state(g_si, g_pi, g_id, g_pd=0.0, g_sd=0.0):
@@ -207,11 +223,12 @@ class TestTrialOutage:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_scalar_path_matches_batch_kernel(self, scheme, make_params):
+        # a full batch, so every block boundary of the kernel is crossed
         params = make_params(8.0, pd=0.65, pf=0.35, n_relays=5)
         batch = _batch_outage_flags(params, scheme, 99, 0)
         gen = batch_generator(99, 0)
-        scalar = [trial_outage(gen, params, scheme) for _ in range(2000)]
-        assert np.array_equal(batch[:2000], np.asarray(scalar))
+        scalar = [trial_outage(gen, params, scheme) for _ in range(TRIALS_PER_BATCH)]
+        assert np.array_equal(batch, np.asarray(scalar))
 
     def test_guaranteed_decoding_leaves_only_the_tail(self, make_params):
         # enormous first-hop variances make the decoding set full w.p. ~1, so
@@ -225,6 +242,29 @@ class TestTrialOutage:
         assert abs(emp - expected) <= 4.0 * math.sqrt(expected * (1 - expected) / 200_000)
 
 
+class TestBlockedKernel:
+    @pytest.mark.parametrize("n_relays", [1, 6, 24])
+    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_matches_whole_batch_kernel(self, scheme, heterogeneous, n_relays, make_params):
+        variances = None
+        if heterogeneous:
+            rng = np.random.default_rng(n_relays)
+            variances = ChannelVariances(
+                sigma2_si=tuple(rng.uniform(0.5, 2.0, n_relays)),
+                sigma2_pi=tuple(rng.uniform(0.1, 0.4, n_relays)),
+                sigma2_d=1.0,
+                sigma2_pd=0.2,
+                sigma2_sd=1.0,
+            )
+        params = make_params(8.0, n_relays=n_relays, variances=variances)
+        for batch in (0, 1):
+            assert np.array_equal(
+                _batch_outage_flags(params, scheme, 4242, batch),
+                whole_batch_outage_flags(params, scheme, 4242, batch),
+            )
+
+
 class TestEstimator:
     def test_single_forced_trial(self, make_params):
         params = make_params(0.0, rate=40.0, n_relays=2)
@@ -234,12 +274,18 @@ class TestEstimator:
         assert est.trials == 1
 
     def test_worker_count_does_not_change_estimate(self, make_params):
+        # the second call reuses the first call's pool, later counts replace it
         params = make_params(5.0)
         trials = 50_000
         base = estimate_outage(params, Scheme.MULTI_RELAY, trials, 11, workers=1)
-        for workers in (2, 4, 8):
+        pids = []
+        for workers in (2, 2, 3, 8):
             est = estimate_outage(params, Scheme.MULTI_RELAY, trials, 11, workers=workers)
             assert est == base
+            pids.append({p.pid for p in multiprocessing.active_children()})
+            assert len(pids[-1]) == workers
+        assert pids[0] == pids[1]
+        assert pids[1].isdisjoint(pids[2])
 
     def test_longer_run_extends_shorter_one(self, make_params):
         params = make_params(8.0)
@@ -289,6 +335,48 @@ class TestEstimator:
             estimate_outage(params, Scheme.DIRECT, 0, 1)
         with pytest.raises(ValueError, match="workers"):
             estimate_outage(params, Scheme.DIRECT, 10, 1, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            estimate_outage(params, Scheme.DIRECT, 10**6, 1, workers=MAX_WORKERS + 1)
+        assert not multiprocessing.active_children()
+
+
+class TestWorkerPool:
+    SPEC = {"sensing_pairs": [[0.9, 0.1]], "relay_counts": [4, 6],
+            "gamma_s_db": [5.0, 15.0], "trials": 40_000, "seed": 3}
+
+    def test_sweep_matches_one_worker_and_reaps_its_workers(self):
+        # within every scheme the sweep moves from N=4 to N=6, so the pool's
+        # workers run batches of both widths in turn
+        spec = build_spec(self.SPEC)
+        outputs = []
+        for workers in (1, 2):
+            buf = io.StringIO()
+            run_sweep(spec, buf, workers=workers)
+            outputs.append(buf.getvalue())
+            assert not multiprocessing.active_children()
+        assert len(outputs[0].splitlines()) == 1 + 12
+        assert outputs[0] == outputs[1]
+
+    def test_closing_a_sweep_early_reaps_its_workers(self):
+        rows = iter_sweep_rows(build_spec(self.SPEC), workers=2)
+        next(rows)
+        assert len(multiprocessing.active_children()) == 2
+        rows.close()
+        assert not multiprocessing.active_children()
+
+    def test_failed_map_drops_the_pool(self, make_params, monkeypatch):
+        params = make_params(5.0)
+        estimate_outage(params, Scheme.DIRECT, 50_000, 1, workers=2)
+        assert len(multiprocessing.active_children()) == 2
+        # int(task) raises TypeError inside the worker
+        monkeypatch.setattr(montecarlo, "_batch_outage_count", int)
+        with pytest.raises(TypeError):
+            estimate_outage(params, Scheme.DIRECT, 50_000, 1, workers=2)
+        assert not multiprocessing.active_children()
+        monkeypatch.undo()
+        assert estimate_outage(params, Scheme.DIRECT, 50_000, 1, workers=2) == estimate_outage(
+            params, Scheme.DIRECT, 50_000, 1, workers=1
+        )
 
 
 class TestPathwiseDominance:
