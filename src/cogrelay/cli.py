@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .analytic import OutageBreakdown, outage_best_relay, outage_direct, outage_multi_relay
@@ -353,16 +354,33 @@ class SweepRow:
 
 
 def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
-    """Yield one SweepRow per grid point, in emission order.  The sweep's
-    Monte Carlo points share one worker pool, which is shut down when the
+    """Yield one SweepRow per grid point, in emission order.
+
+    Every (pd, pf, N, gamma_s) point gets its Monte Carlo estimates for all
+    of spec.schemes from one estimate_outage call, made at the point's first
+    row; its later rows take theirs from that call, which is then dropped.
+    The sweep's calls share one worker pool, which is shut down when the
     rows run out or the generator is closed."""
+    points = sweep_points(spec)
+    # rows still to come per point, counted only when points carry estimates
+    rows_left = Counter(p[1:] for p in points) if spec.trials > 0 else None
+    estimates: dict[tuple[float, float, int, float], dict[Scheme, OutageEstimate]] = {}
     try:
-        for scheme, pd, pf, n, g in sweep_points(spec):
+        for scheme, pd, pf, n, g in points:
             params = _params_at(spec, pd, pf, n, g)
             total = analytic_outage(params, scheme).total
             est = None
             if spec.trials > 0:
-                est = estimate_outage(params, scheme, spec.trials, spec.seed, workers=workers)
+                point = (pd, pf, n, g)
+                if point not in estimates:
+                    fused = estimate_outage(
+                        params, spec.schemes, spec.trials, spec.seed, workers=workers
+                    )
+                    estimates[point] = dict(zip(spec.schemes, fused))
+                est = estimates[point][scheme]
+                rows_left[point] -= 1
+                if not rows_left[point]:
+                    del estimates[point]
             yield SweepRow(
                 scheme=scheme,
                 n_relays=n,
@@ -399,18 +417,49 @@ def _z_score(analytic: float, p_hat: float, stderr: float, trials: int) -> float
     return abs(analytic - p_hat) / scale
 
 
+# Two-sided standard-normal tail beyond z = 3: the chance that one
+# informative point exceeds the PASS rule's z limit on correct code.
+_Z_EXCEED_PROB = math.erfc(3.0 / math.sqrt(2.0))
+
+
+def _false_fail_probability(informative: int, n_points: int) -> float:
+    """P(Binomial(informative, _Z_EXCEED_PROB) > c), c being the most
+    exceedances the PASS rule allows: the largest count below 1% of the
+    points.  Points expecting no outage at all cannot exceed, so only the
+    informative ones count."""
+    allowed = math.ceil(0.01 * n_points) - 1
+    log_q = math.log(_Z_EXCEED_PROB)
+    log_p = math.log1p(-_Z_EXCEED_PROB)
+    pass_terms = [
+        math.exp(
+            math.lgamma(informative + 1) - math.lgamma(j + 1) - math.lgamma(informative - j + 1)
+            + j * log_q + (informative - j) * log_p
+        )
+        for j in range(min(allowed, informative) + 1)
+    ]
+    return min(max(1.0 - math.fsum(pass_terms), 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """z-statistics of every grid point plus the overall verdict."""
+    """z-statistics of every grid point plus the overall verdict.
+
+    ``informative`` counts the points expecting at least one outage in
+    their trials; ``false_fail_probability`` is the chance that the PASS
+    rule fails on correct code, given that many informative points."""
 
     n_points: int
     max_z: float
     exceedances: tuple[tuple[str, float], ...]
     passed: bool
+    informative: int
+    false_fail_probability: float
 
     def render(self) -> str:
         lines = [
             f"points checked:   {self.n_points}",
+            f"informative:      {self.informative} (expected outage count >= 1)",
+            f"false-fail prob:  {self.false_fail_probability:.3g} (PASS rule on correct code)",
             f"max |z|:          {self.max_z:.3f}",
             f"points with z>3:  {len(self.exceedances)}",
         ]
@@ -436,11 +485,14 @@ def validate_points(rows: list[SweepRow], trials: int) -> ValidationReport:
             )
             exceed.append((label, z))
     passed = len(exceed) < 0.01 * len(rows)
+    informative = sum(trials * row.analytic_outage >= 1.0 for row in rows)
     return ValidationReport(
         n_points=len(rows),
         max_z=max_z,
         exceedances=tuple(exceed),
         passed=passed,
+        informative=informative,
+        false_fail_probability=_false_fail_probability(informative, len(rows)),
     )
 
 
@@ -576,15 +628,17 @@ def _cmd_simulate(spec: SweepSpec, args, out) -> int:
     print(f"# operating point: gamma_s={g:g} dB, pd={pd:g}, pf={pf:g}, N={n}", file=out)
     print(f"# {RATE_CONVENTION_NOTE}", file=out)
     try:
-        for scheme in spec.schemes:
-            est = estimate_outage(params, scheme, spec.trials, spec.seed, workers=args.workers)
-            print(
-                f"{scheme.value:>6}: p_hat={est.p_hat:.10g}  stderr={est.stderr:.10g}  "
-                f"trials={est.trials}  seed={est.seed}",
-                file=out,
-            )
+        estimates = estimate_outage(
+            params, spec.schemes, spec.trials, spec.seed, workers=args.workers
+        )
     finally:
         shutdown_pool()
+    for scheme, est in zip(spec.schemes, estimates):
+        print(
+            f"{scheme.value:>6}: p_hat={est.p_hat:.10g}  stderr={est.stderr:.10g}  "
+            f"trials={est.trials}  seed={est.seed}",
+            file=out,
+        )
     return 0
 
 

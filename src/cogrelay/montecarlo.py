@@ -15,6 +15,13 @@ Batches are fixed-size regardless of the requested trial count, so
 estimates are bit-identical for any worker count and any longer run
 reproduces a shorter run's trials exactly as its prefix.
 
+Schemes share sample paths: at equal (params, seed) every scheme reads the
+same rows.  The kernel therefore draws and transforms each block once and
+emits flags for every requested scheme from that one draw;
+``estimate_outage`` with a tuple of schemes returns one estimate per scheme
+from one pass over the batches.  A scheme's flags do not depend on which
+other schemes were requested with it.
+
 Worker pool: ``estimate_outage`` with workers > 1 hands batches to one
 process pool, started at the first pooled batch and reused by every later
 call with the same worker count (another count replaces it).  The pool
@@ -268,14 +275,18 @@ def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _batch_outage_flags(
-    params: SystemParams, scheme: Scheme, seed: int, batch_index: int
+    params: SystemParams, schemes: tuple[Scheme, ...], seed: int, batch_index: int
 ) -> np.ndarray:
-    """Outage flags for one full batch of TRIALS_PER_BATCH trials.
+    """Outage flags for one full batch of TRIALS_PER_BATCH trials, one row
+    per requested scheme, in the order given.
 
-    Row r holds trial batch_index*TRIALS_PER_BATCH + r.  The uniform matrix
-    is drawn BLOCK_ROWS rows at a time from the batch's one stream, and every
-    row is always drawn, whatever the scheme or how many trials the caller
-    actually needs, so trial outcomes never depend on context.
+    Column r holds trial batch_index*TRIALS_PER_BATCH + r.  The uniform
+    matrix is drawn BLOCK_ROWS rows at a time from the batch's one stream,
+    and every row is always drawn, whatever the schemes or how many trials
+    the caller actually needs, so trial outcomes never depend on context.
+    Each block's gains, decode mask and forwarded gains are computed once
+    and shared by every scheme, whose flags are exactly those of a call
+    asking for that scheme alone.
     """
     post = params.posterior()
     thr = params.snr_threshold()
@@ -283,39 +294,42 @@ def _batch_outage_flags(
     v = params.variances
     sigma2_si = np.asarray(v.sigma2_si)
     sigma2_pi = np.asarray(v.sigma2_pi)
+    relayed = any(s is not Scheme.DIRECT for s in schemes)
     gen = batch_generator(seed, batch_index)
-    flags = np.empty(TRIALS_PER_BATCH, dtype=bool)
+    flags = np.empty((len(schemes), TRIALS_PER_BATCH), dtype=bool)
     for start in range(0, TRIALS_PER_BATCH, BLOCK_ROWS):
         u = gen.random((BLOCK_ROWS, 3 * n + 3))
         alpha = (u[:, 0] < post.pi1).astype(np.float64)
         g_pd = exponential_from_uniform(u[:, 3 * n + 1], v.sigma2_pd)
         interference = alpha * params.gamma_p * g_pd + 1.0
-        out = flags[start : start + BLOCK_ROWS]
-        if scheme is Scheme.DIRECT:
-            g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
-            np.less(g_sd, thr.delta_direct * interference, out=out)
-            continue
-        g_si = exponential_from_uniform(u[:, 1 : n + 1], sigma2_si)
-        g_pi = exponential_from_uniform(u[:, n + 1 : 2 * n + 1], sigma2_pi)
-        g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
-        decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
-        forwarded = np.where(decoded, g_id, 0.0)
-        combined = forwarded.sum(axis=1) if scheme is Scheme.MULTI_RELAY else forwarded.max(axis=1)
-        np.less(combined, thr.delta * interference, out=out)
+        if relayed:
+            g_si = exponential_from_uniform(u[:, 1 : n + 1], sigma2_si)
+            g_pi = exponential_from_uniform(u[:, n + 1 : 2 * n + 1], sigma2_pi)
+            g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
+            decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
+            forwarded = np.where(decoded, g_id, 0.0)
+        for out, scheme in zip(flags[:, start : start + BLOCK_ROWS], schemes):
+            if scheme is Scheme.DIRECT:
+                g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
+                np.less(g_sd, thr.delta_direct * interference, out=out)
+            elif scheme is Scheme.MULTI_RELAY:
+                np.less(forwarded.sum(axis=1), thr.delta * interference, out=out)
+            else:
+                np.less(forwarded.max(axis=1), thr.delta * interference, out=out)
     return flags
 
 
-def _batch_outage_count(task) -> int:
-    params, scheme, seed, batch_index, limit = task
-    flags = _batch_outage_flags(params, scheme, seed, batch_index)
-    return int(flags[:limit].sum())
+def _batch_outage_count(task) -> tuple[int, ...]:
+    params, schemes, seed, batch_index, limit = task
+    flags = _batch_outage_flags(params, schemes, seed, batch_index)
+    return tuple(int(c) for c in flags[:, :limit].sum(axis=1))
 
 
-def _batch_tasks(params: SystemParams, scheme: Scheme, trials: int, seed: int):
+def _batch_tasks(params: SystemParams, schemes: tuple[Scheme, ...], trials: int, seed: int):
     n_batches = -(-trials // TRIALS_PER_BATCH)
     for b in range(n_batches):
         limit = min(TRIALS_PER_BATCH, trials - b * TRIALS_PER_BATCH)
-        yield (params, scheme, seed, b, limit)
+        yield (params, schemes, seed, b, limit)
 
 
 def outage_flags(
@@ -329,10 +343,10 @@ def outage_flags(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     out = np.empty(trials, dtype=bool)
-    for _, _, _, b, limit in _batch_tasks(params, scheme, trials, seed):
-        flags = _batch_outage_flags(params, scheme, seed, b)
+    for _, _, _, b, limit in _batch_tasks(params, (scheme,), trials, seed):
+        flags = _batch_outage_flags(params, (scheme,), seed, b)
         start = b * TRIALS_PER_BATCH
-        out[start : start + limit] = flags[:limit]
+        out[start : start + limit] = flags[0, :limit]
     return out
 
 
@@ -351,7 +365,7 @@ def shutdown_pool() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _pooled_counts(tasks: list, workers: int) -> list[int]:
+def _pooled_counts(tasks: list, workers: int) -> list[tuple[int, ...]]:
     global _pool, _pool_workers
     if workers != _pool_workers:
         shutdown_pool()
@@ -367,14 +381,31 @@ def _pooled_counts(tasks: list, workers: int) -> list[int]:
         raise
 
 
+def _requested_schemes(scheme) -> tuple[Scheme, ...]:
+    schemes = scheme if isinstance(scheme, tuple) else (scheme,)
+    if not schemes:
+        raise ValueError("scheme tuple must not be empty")
+    for s in schemes:
+        if not isinstance(s, Scheme):
+            raise ValueError(f"schemes must be Scheme members, got {s!r}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"scheme tuple repeats a scheme: {schemes}")
+    return schemes
+
+
 def estimate_outage(
     params: SystemParams,
-    scheme: Scheme,
+    scheme: Scheme | tuple[Scheme, ...],
     trials: int,
     seed: int,
     workers: int = 1,
-) -> OutageEstimate:
+) -> OutageEstimate | tuple[OutageEstimate, ...]:
     """Estimate the outage probability from `trials` independent trials.
+
+    `scheme` is one Scheme, which returns one OutageEstimate, or a tuple of
+    distinct schemes, which returns one estimate per scheme in the same
+    order.  Every scheme's flags come from the same draw of each batch, and
+    each estimate equals the one a call for that scheme alone returns.
 
     With workers > 1, batches are distributed across the shared pool of
     `workers` processes (see the module docstring for its lifetime);
@@ -382,14 +413,18 @@ def estimate_outage(
     whatever the worker count or scheduling order.  `workers` must lie in
     [1, MAX_WORKERS].
     """
+    schemes = _requested_schemes(scheme)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     seed = seed & _SEED_MASK
-    tasks = list(_batch_tasks(params, scheme, trials, seed))
+    tasks = list(_batch_tasks(params, schemes, trials, seed))
     if workers == 1 or len(tasks) == 1:
         counts = [_batch_outage_count(t) for t in tasks]
     else:
         counts = _pooled_counts(tasks, workers)
-    return OutageEstimate.from_count(sum(counts), trials, seed)
+    estimates = tuple(
+        OutageEstimate.from_count(sum(per_scheme), trials, seed) for per_scheme in zip(*counts)
+    )
+    return estimates if isinstance(scheme, tuple) else estimates[0]

@@ -8,14 +8,21 @@ exponentials (an Erlang tail), which for integer k is the exact finite sum
 Only integer shapes ever occur here (k counts relays in a decoding set), so
 nothing heavier than finite sums is needed.  All accumulations go through
 ``math.fsum`` so the documented 1e-12 identities hold.
+
+The sums build their terms from a leading e^{-x}.  Past x ~ 708 that factor
+is subnormal (past ~745 it is 0.0) and carries few or no significant digits,
+so there each term is formed in one piece as exp(-x + m*log(z) - lgamma(m+1)).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 
 __all__ = ["reg_lower_gamma", "scaled_upper_gamma_term"]
+
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def _check_shape(k) -> int:
@@ -28,15 +35,28 @@ def _check_shape(k) -> int:
     return k
 
 
-def _poisson_cdf_terms(k: int, x: float) -> list[float]:
-    # e^{-x} x^m / m! for m = 0..k-1, built multiplicatively: each value is a
-    # Poisson pmf, so no intermediate ever exceeds 1.
-    terms = []
+def _log_space_term(x: float, z: float, m: int) -> float:
+    # e^{-x} z^m / m! where e^{-x} alone has lost its precision
+    return math.exp(-x + m * math.log(z) - math.lgamma(m + 1))
+
+
+def _exp_terms(k: int, x: float, z: float) -> list[float]:
+    # e^{-x} z^m / m! for m = 0..k-1, built multiplicatively while e^{-x} is
+    # a normal float
     t = math.exp(-x)
+    if t < _SMALLEST_NORMAL:
+        return [_log_space_term(x, z, m) for m in range(k)]
+    terms = []
     for m in range(k):
         terms.append(t)
-        t *= x / (m + 1)
+        t *= z / (m + 1)
     return terms
+
+
+def _poisson_cdf_terms(k: int, x: float) -> list[float]:
+    # e^{-x} x^m / m! for m = 0..k-1: each value is a Poisson pmf, so no
+    # intermediate ever exceeds 1.
+    return _exp_terms(k, x, x)
 
 
 def reg_lower_gamma(k, x: float) -> float:
@@ -58,8 +78,11 @@ def reg_lower_gamma(k, x: float) -> float:
     # Poisson tail: term ratio x/(m+1) < 1 for every m >= k
     terms = []
     t = math.exp(-x)
-    for m in range(1, k + 1):
-        t *= x / m
+    if t < _SMALLEST_NORMAL:
+        t = _log_space_term(x, x, k)
+    else:
+        for m in range(1, k + 1):
+            t *= x / m
     total = 0.0
     m = k
     while True:
@@ -89,10 +112,4 @@ def scaled_upper_gamma_term(k, a: float, c: float) -> float:
         raise ValueError(f"a must be >= 0, got {a}")
     if math.isnan(c) or c <= 0.0:
         raise ValueError(f"c must be > 0, got {c}")
-    z = a + c
-    terms = []
-    t = math.exp(-a)
-    for m in range(k):
-        terms.append(t)
-        t *= z / (m + 1)
-    return math.fsum(terms)
+    return math.fsum(_exp_terms(k, a, a + c))

@@ -147,6 +147,37 @@ class TestSweep:
         outputs = {sweep_csv(build_spec(cfg), workers=w) for w in (1, 4)}
         assert len(outputs) == 1
 
+    def test_one_estimate_call_per_point(self, monkeypatch):
+        # the repeated 10 dB value is one (pd, pf, N, gamma_s) point: one call,
+        # and its rows in every scheme repeat the same estimate
+        from cogrelay import cli
+
+        calls = []
+        real = cli.estimate_outage
+
+        def counting(params, scheme, trials, seed, workers=1):
+            calls.append((params.n_relays, params.gamma_s, scheme))
+            return real(params, scheme, trials, seed, workers=workers)
+
+        monkeypatch.setattr(cli, "estimate_outage", counting)
+        spec = build_spec({"gamma_s_db": [5.0, 10.0, 10.0], "relay_counts": [4, 6],
+                           "trials": 20_000, "seed": 2})
+        rows = list(iter_sweep_rows(spec))
+        assert len(rows) == 3 * 2 * 3
+        assert len(calls) == 2 * 2
+        assert len(set(calls)) == len(calls)
+        assert all(scheme == spec.schemes for _, _, scheme in calls)
+        for a, b in zip(rows[1::3], rows[2::3]):
+            assert a == b
+
+    def test_scheme_subset_rows_equal_full_sweep_rows(self):
+        # an estimate never depends on which other schemes were requested
+        cfg = {"gamma_s_db": [0.0, 10.0], "relay_counts": [2, 6], "trials": 40_000, "seed": 8}
+        full = sweep_csv(build_spec(cfg)).splitlines()
+        best = sweep_csv(build_spec({**cfg, "schemes": ["best"]})).splitlines()
+        assert best[1:] == [line for line in full[1:] if line.startswith("best,")]
+        assert len(best) == 1 + 2 * 2
+
     def test_golden_row_format(self):
         # frozen: 10 significant digits, ints unpadded, trailing seed column
         spec = build_spec({"gamma_s_db": [10.0], "schemes": ["multi"], "trials": 20_000, "seed": 7})
@@ -221,6 +252,37 @@ class TestValidate:
             assert len(report.exceedances) == 1
             assert "FAIL" in report.render()
 
+    @pytest.mark.parametrize("n_points, informative", [(42, 32), (150, 150), (42, 0)])
+    def test_report_counts_informative_points_and_false_fail_odds(self, n_points, informative):
+        # expected outage counts of 2 (informative) and 0.5 (not) at 1e6 trials;
+        # every estimate equals its analytic value, so nothing exceeds z = 3
+        from cogrelay.cli import SweepRow
+        from cogrelay.montecarlo import OutageEstimate
+
+        trials = 10**6
+        rows = [
+            SweepRow(scheme=Scheme.MULTI_RELAY, n_relays=6, pd=0.9, pf=0.1, gamma_s_db=float(i),
+                     analytic_outage=count / trials,
+                     estimate=OutageEstimate.from_count(int(count), trials, 1))
+            for i, count in enumerate([2.0] * informative + [0.5] * (n_points - informative))
+        ]
+        report = validate_points(rows, trials)
+        q = math.erfc(3.0 / math.sqrt(2.0))
+        # the PASS rule allows no exceedance below 100 points and one up to 200
+        allowed = 0 if n_points < 100 else 1
+        passing = sum(
+            math.comb(informative, j) * q**j * (1.0 - q) ** (informative - j)
+            for j in range(min(allowed, informative) + 1)
+        )
+        assert report.passed
+        assert report.informative == informative
+        assert report.false_fail_probability == pytest.approx(1.0 - passing, rel=1e-12, abs=1e-15)
+        text = report.render()
+        assert f"informative:      {informative} " in text
+        assert f"false-fail prob:  {report.false_fail_probability:.3g} " in text
+        if n_points == 42 and informative == 32:
+            assert report.false_fail_probability == pytest.approx(0.0829, abs=1e-4)
+
 
 class TestMainEntry:
     def test_sweep_to_stdout(self, capsys):
@@ -261,6 +323,18 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert rc == 0
         assert "p_hat=" in out and "stderr=" in out
+
+    def test_simulate_all_schemes_prints_single_scheme_lines(self, capsys):
+        args = ["simulate", "--gamma-s-db", "10", "--trials", "40000", "--seed", "6"]
+        assert main(args + ["--scheme", "direct,best,multi"]) == 0
+        together = capsys.readouterr().out.splitlines()
+        alone = []
+        for scheme in ("direct", "best", "multi"):
+            assert main(args + ["--scheme", scheme]) == 0
+            alone.append(capsys.readouterr().out.splitlines())
+        # two header lines, then one estimate line per scheme
+        assert all(len(lines) == 3 and lines[:2] == together[:2] for lines in alone)
+        assert together == together[:2] + [lines[2] for lines in alone]
 
     def test_validate_exit_code_on_pass(self, capsys):
         rc = main([

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import multiprocessing
 
@@ -225,7 +226,7 @@ class TestTrialOutage:
     def test_scalar_path_matches_batch_kernel(self, scheme, make_params):
         # a full batch, so every block boundary of the kernel is crossed
         params = make_params(8.0, pd=0.65, pf=0.35, n_relays=5)
-        batch = _batch_outage_flags(params, scheme, 99, 0)
+        batch = _batch_outage_flags(params, (scheme,), 99, 0)[0]
         gen = batch_generator(99, 0)
         scalar = [trial_outage(gen, params, scheme) for _ in range(TRIALS_PER_BATCH)]
         assert np.array_equal(batch, np.asarray(scalar))
@@ -242,11 +243,20 @@ class TestTrialOutage:
         assert abs(emp - expected) <= 4.0 * math.sqrt(expected * (1 - expected) / 200_000)
 
 
+# every non-empty ordered subset of the schemes; a 1-tuple's id is its
+# scheme's name
+SCHEME_TUPLES = [t for r in (1, 2, 3) for t in itertools.permutations(Scheme, r)]
+
+
 class TestBlockedKernel:
     @pytest.mark.parametrize("n_relays", [1, 6, 24])
     @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_matches_whole_batch_kernel(self, scheme, heterogeneous, n_relays, make_params):
+    @pytest.mark.parametrize(
+        "schemes", SCHEME_TUPLES, ids=lambda t: "+".join(s.value for s in t)
+    )
+    def test_matches_whole_batch_kernel(self, schemes, heterogeneous, n_relays, make_params):
+        # each scheme's row equals the oracle for that scheme alone, whatever
+        # other schemes share the draw and in whatever order
         variances = None
         if heterogeneous:
             rng = np.random.default_rng(n_relays)
@@ -259,10 +269,10 @@ class TestBlockedKernel:
             )
         params = make_params(8.0, n_relays=n_relays, variances=variances)
         for batch in (0, 1):
-            assert np.array_equal(
-                _batch_outage_flags(params, scheme, 4242, batch),
-                whole_batch_outage_flags(params, scheme, 4242, batch),
-            )
+            flags = _batch_outage_flags(params, schemes, 4242, batch)
+            assert flags.shape == (len(schemes), TRIALS_PER_BATCH)
+            for row, scheme in zip(flags, schemes):
+                assert np.array_equal(row, whole_batch_outage_flags(params, scheme, 4242, batch))
 
 
 class TestEstimator:
@@ -337,7 +347,20 @@ class TestEstimator:
             estimate_outage(params, Scheme.DIRECT, 10, 1, workers=0)
         with pytest.raises(ValueError, match="workers"):
             estimate_outage(params, Scheme.DIRECT, 10**6, 1, workers=MAX_WORKERS + 1)
+        for bad in ((), (Scheme.BEST_RELAY, Scheme.BEST_RELAY), (Scheme.DIRECT, "multi"), "multi"):
+            with pytest.raises(ValueError, match="scheme"):
+                estimate_outage(params, bad, 10**6, 1, workers=2)
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scheme_tuple_matches_single_scheme_calls(self, workers, make_params):
+        # 50,000 trials end in a partial batch
+        params = make_params(5.0)
+        schemes = (Scheme.MULTI_RELAY, Scheme.DIRECT, Scheme.BEST_RELAY)
+        fused = estimate_outage(params, schemes, 50_000, 17, workers=workers)
+        assert isinstance(fused, tuple)
+        assert fused == tuple(estimate_outage(params, s, 50_000, 17) for s in schemes)
+        assert estimate_outage(params, (Scheme.DIRECT,), 50_000, 17, workers=workers) == (fused[1],)
 
 
 class TestWorkerPool:

@@ -62,6 +62,15 @@ class TestRegLowerGamma:
         with pytest.raises(ValueError):
             reg_lower_gamma(2, bad_x)
 
+    @pytest.mark.parametrize(
+        "k, x", [(1000, 1000.0), (1000, 900.0), (800, 760.0), (800, 740.0), (2000, 1500.0)]
+    )
+    def test_large_x_matches_mpmath(self, k, x):
+        # e^{-x} is 0.0 past x ~ 745 and subnormal past ~ 708; the sums built
+        # on it returned 1.0, 0.0, 0.0, 0.0152 (true 0.0152 to 3 digits) and 0.0
+        oracle = float(mpmath.gammainc(k, 0, x, regularized=True))
+        assert reg_lower_gamma(k, x) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
     @pytest.mark.parametrize("bad_k", [0, -3, 1.5, "2"])
     def test_rejects_bad_shape(self, bad_k):
         with pytest.raises(ValueError):
@@ -101,6 +110,13 @@ class TestScaledUpperGammaTerm:
         # frozen from the 50-digit direct-product oracle at moderate c
         assert scaled_upper_gamma_term(1, 0.3, 2.0) == pytest.approx(
             0.7408182206817179, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("k, a, c", [(1000, 800.0, 1.0), (1000, 720.0, 1.0), (24, 746.0, 1.0)])
+    def test_large_a_matches_mpmath(self, k, a, c):
+        # e^{-a} underflows here; the first and last cases returned 0.0
+        assert scaled_upper_gamma_term(k, a, c) == pytest.approx(
+            scaled_term_mpmath(k, a, c), rel=1e-10, abs=0.0
         )
 
     def test_huge_c_stays_finite(self):
