@@ -5,7 +5,6 @@ benchmarks.
 """
 
 from .analytic import (
-    DecodingSet,
     OutageBreakdown,
     decoding_cardinality_pmf,
     outage_best_relay,
@@ -15,7 +14,6 @@ from .analytic import (
 from .model import (
     MAX_RELAYS,
     ChannelVariances,
-    Hypothesis,
     Posterior,
     Scheme,
     SnrThreshold,
@@ -25,25 +23,14 @@ from .model import (
     posterior,
     snr_threshold,
 )
-from .montecarlo import (
-    ChannelState,
-    MrcResult,
-    OutageEstimate,
-    estimate_outage,
-    outage_flags,
-    trial_outage,
-)
+from .montecarlo import OutageEstimate, estimate_outage, outage_flags
 from .specfun import reg_lower_gamma, scaled_upper_gamma_term
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MAX_RELAYS",
-    "ChannelState",
     "ChannelVariances",
-    "DecodingSet",
-    "Hypothesis",
-    "MrcResult",
     "OutageBreakdown",
     "OutageEstimate",
     "Posterior",
@@ -62,5 +49,4 @@ __all__ = [
     "reg_lower_gamma",
     "scaled_upper_gamma_term",
     "snr_threshold",
-    "trial_outage",
 ]

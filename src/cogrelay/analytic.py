@@ -23,7 +23,6 @@ from .model import SystemParams
 from .specfun import _poisson_cdf_terms, reg_lower_gamma, scaled_upper_gamma_term
 
 __all__ = [
-    "DecodingSet",
     "OutageBreakdown",
     "decoding_cardinality_pmf",
     "outage_best_relay",
@@ -36,36 +35,6 @@ __all__ = [
     "p_sum_below_h0",
     "p_sum_below_h1",
 ]
-
-
-@dataclass(frozen=True)
-class DecodingSet:
-    """Subset of relays that decoded the first hop, as a bitmask.
-
-    Bit i set means relay i is in the set.  The empty mask is the no-decoder
-    event, in which case the destination hears nothing.
-    """
-
-    mask: int
-    n_relays: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n_relays):
-            raise ValueError(
-                f"mask {self.mask:#x} out of range for {self.n_relays} relays"
-            )
-
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    def relays(self) -> tuple[int, ...]:
-        """Indices of the member relays, ascending."""
-        return tuple(i for i in range(self.n_relays) if (self.mask >> i) & 1)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -496,12 +497,16 @@ def validate_points(rows: list[SweepRow], trials: int) -> ValidationReport:
     )
 
 
-def run_validate(spec: SweepSpec, workers: int = 1) -> ValidationReport:
-    if spec.trials < VALIDATE_MIN_TRIALS:
+def _check_validate_trials(trials: int) -> None:
+    if trials < VALIDATE_MIN_TRIALS:
         raise ConfigError(
             f"validate needs trials >= {VALIDATE_MIN_TRIALS} for the z test to "
-            f"mean anything, got {spec.trials}"
+            f"mean anything, got {trials}"
         )
+
+
+def run_validate(spec: SweepSpec, workers: int = 1) -> ValidationReport:
+    _check_validate_trials(spec.trials)
     rows = list(iter_sweep_rows(spec, workers=workers))
     return validate_points(rows, spec.trials)
 
@@ -621,8 +626,6 @@ def _cmd_analytic(spec: SweepSpec, args, out) -> int:
 
 
 def _cmd_simulate(spec: SweepSpec, args, out) -> int:
-    if spec.trials < 1:
-        raise ConfigError("simulate needs --trials >= 1")
     pd, pf, n, g = _first_point(spec)
     params = _params_at(spec, pd, pf, n, g)
     print(f"# operating point: gamma_s={g:g} dB, pd={pd:g}, pf={pf:g}, N={n}", file=out)
@@ -661,6 +664,11 @@ def main(argv=None) -> int:
         spec = _spec_from_args(args)
         if not 1 <= args.workers <= MAX_WORKERS:
             raise ConfigError(f"workers: must be an integer in [1, {MAX_WORKERS}], got {args.workers}")
+        # checked before --out is opened, which truncates it
+        if args.command == "simulate" and spec.trials < 1:
+            raise ConfigError("simulate needs --trials >= 1")
+        if args.command == "validate":
+            _check_validate_trials(spec.trials)
         handler = {
             "analytic": _cmd_analytic,
             "simulate": _cmd_simulate,
@@ -668,12 +676,22 @@ def main(argv=None) -> int:
             "validate": _cmd_validate,
         }[args.command]
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            try:
+                fh = open(args.out, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise ConfigError(f"out: cannot open {args.out!r}: {exc.strerror}") from None
+            with fh:
                 return handler(spec, args, fh)
         return handler(spec, args, sys.stdout)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # final flush cannot raise again (the SIGPIPE note in Python's
+        # signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

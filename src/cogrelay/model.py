@@ -15,7 +15,6 @@ from dataclasses import dataclass
 __all__ = [
     "MAX_RELAYS",
     "ChannelVariances",
-    "Hypothesis",
     "Posterior",
     "Scheme",
     "SnrThreshold",
@@ -32,21 +31,6 @@ __all__ = [
 MAX_RELAYS = 24
 
 
-class Hypothesis(enum.Enum):
-    """True spectrum state: H0 = band unoccupied, H1 = primary active.
-
-    The enum value doubles as the interference indicator: secondary receivers
-    see primary interference only under H1.
-    """
-
-    H0 = 0
-    H1 = 1
-
-    @property
-    def interference_on(self) -> bool:
-        return self is Hypothesis.H1
-
-
 class Scheme(str, enum.Enum):
     """Transmission scheme under evaluation."""
 
@@ -60,7 +44,8 @@ class Scheme(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Posterior:
-    """Hypothesis probabilities conditioned on the sensor declaring a hole."""
+    """Probabilities of H0 (band free) and H1 (primary active) conditioned on
+    the sensor declaring a hole."""
 
     pi0: float
     pi1: float

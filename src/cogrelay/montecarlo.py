@@ -4,7 +4,11 @@ Every trial is conditioned on the sensor having declared a hole: the true
 hypothesis is drawn from the sensing posterior (rejection sampling would
 waste the complementary fraction of draws), then one squared-magnitude fading
 gain per link.  Complex coefficients, symbols and noise never materialize;
-the decode tests and combiner SINR depend on gains only.
+the decode, sum and max tests depend on gains only.
+
+Each trial consumes one row of 3N+3 uniforms: the hypothesis, then the N
+source->relay, N primary->relay and N relay->destination gains, then the
+primary->destination and source->destination gains.
 
 Reproducibility contract: trial t consumes row t % TRIALS_PER_BATCH of a
 uniform matrix generated by a counter-based Philox stream keyed with
@@ -40,25 +44,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DecodingSet
-from .model import Hypothesis, Posterior, Scheme, SnrThreshold, SystemParams
+from .model import Scheme, SystemParams
 
 __all__ = [
     "MAX_WORKERS",
     "TRIALS_PER_BATCH",
-    "ChannelState",
-    "MrcResult",
     "OutageEstimate",
-    "decoding_set",
     "estimate_outage",
     "exponential_from_uniform",
-    "mrc_combine",
     "outage_flags",
-    "sample_channel_state",
-    "sample_exponential",
-    "sample_hypothesis",
     "shutdown_pool",
-    "trial_outage",
 ]
 
 TRIALS_PER_BATCH = 16384
@@ -74,53 +69,6 @@ BLOCK_ROWS = 2048
 MAX_WORKERS = 64
 
 _SEED_MASK = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    """One sample path: squared fading magnitudes for every link.
-
-    g_si, g_pi, g_id are per-relay vectors (source->relay, primary->relay,
-    relay->destination); g_pd and g_sd are the primary->destination and
-    source->destination scalars.
-    """
-
-    g_si: np.ndarray
-    g_pi: np.ndarray
-    g_id: np.ndarray
-    g_pd: float
-    g_sd: float
-
-    def __post_init__(self):
-        for name in ("g_si", "g_pi", "g_id"):
-            vec = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, vec)
-            if vec.ndim != 1 or np.any(vec < 0.0):
-                raise ValueError(f"{name} must be a 1-D nonnegative vector")
-        if len({self.g_si.size, self.g_pi.size, self.g_id.size}) != 1:
-            raise ValueError("per-relay gain vectors must share one length")
-        if self.g_pd < 0.0 or self.g_sd < 0.0:
-            raise ValueError("scalar gains must be >= 0")
-
-
-@dataclass(frozen=True)
-class MrcResult:
-    """Optimal coherent combiner over the decoding set and its output SINR.
-
-    The SINR-maximizing unit-norm weights are proportional to the conjugate
-    channel; at the gain level that is sqrt of each member gain, normalized.
-    """
-
-    weights: np.ndarray
-    sinr: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if abs(float(np.linalg.norm(w)) - 1.0) > 1e-12:
-            raise ValueError(f"combiner weights must have unit norm, got {w}")
-        if self.sinr < 0.0:
-            raise ValueError(f"sinr must be >= 0, got {self.sinr}")
 
 
 @dataclass(frozen=True)
@@ -155,118 +103,6 @@ class OutageEstimate:
 def exponential_from_uniform(u, mean):
     """Inverse-CDF map: u in [0,1) -> -mean*ln(1-u).  Elementwise on arrays."""
     return -mean * np.log1p(-u)
-
-
-def sample_exponential(stream: np.random.Generator, mean: float, size=None):
-    """Draw exponential gains of the given mean from the stream."""
-    if not (mean > 0.0):
-        raise ValueError(f"mean must be > 0, got {mean}")
-    return exponential_from_uniform(stream.random(size), mean)
-
-
-def sample_hypothesis(stream: np.random.Generator, post: Posterior) -> Hypothesis:
-    """Draw the true spectrum state conditioned on a declared hole."""
-    return Hypothesis.H1 if stream.random() < post.pi1 else Hypothesis.H0
-
-
-def sample_channel_state(stream: np.random.Generator, params: SystemParams) -> ChannelState:
-    """Draw one full sample path, in the fixed per-trial layout.
-
-    Consumption order (one uniform each): source->relay gains, then
-    primary->relay, then relay->destination, then the primary->destination
-    and source->destination scalars.  The vectorized batch path consumes the
-    same columns, which is what makes the scalar path its exact reference.
-    """
-    n = params.n_relays
-    v = params.variances
-    u = stream.random(3 * n + 2)
-    return ChannelState(
-        g_si=exponential_from_uniform(u[0:n], np.asarray(v.sigma2_si)),
-        g_pi=exponential_from_uniform(u[n : 2 * n], np.asarray(v.sigma2_pi)),
-        g_id=exponential_from_uniform(u[2 * n : 3 * n], v.sigma2_d),
-        g_pd=float(exponential_from_uniform(u[3 * n], v.sigma2_pd)),
-        g_sd=float(exponential_from_uniform(u[3 * n + 1], v.sigma2_sd)),
-    )
-
-
-def decoding_set(
-    state: ChannelState,
-    hyp: Hypothesis,
-    thr: SnrThreshold,
-    params: SystemParams,
-) -> DecodingSet:
-    """Relays whose first-hop capacity beats the rate: gain above the
-    interference-inflated threshold delta*(gamma_p*primary gain + 1), with
-    the interference active only under H1."""
-    alpha = 1.0 if hyp.interference_on else 0.0
-    decoded = state.g_si > thr.delta * (alpha * params.gamma_p * state.g_pi + 1.0)
-    mask = 0
-    for i, bit in enumerate(decoded):
-        if bit:
-            mask |= 1 << i
-    return DecodingSet(mask=mask, n_relays=params.n_relays)
-
-
-def mrc_combine(
-    state: ChannelState,
-    dset: DecodingSet,
-    hyp: Hypothesis,
-    params: SystemParams,
-) -> MrcResult:
-    """Coherently combine the decoding set's relay->destination branches.
-
-    Optimal unit-norm weights (Cauchy-Schwarz) align with the channel, and
-    the resulting SINR is gamma_s * (sum of member gains) divided by the
-    interference-plus-noise level.  Callers must treat an empty decoding set
-    as outage; combining nothing is a contract violation.
-    """
-    if dset.is_empty:
-        raise ValueError("cannot combine an empty decoding set")
-    members = list(dset.relays())
-    gains = state.g_id[members]
-    amplitudes = np.sqrt(gains)
-    norm = float(np.linalg.norm(amplitudes))
-    if norm > 0.0:
-        weights = amplitudes / norm
-    else:
-        # all member gains exactly zero (measure-zero path): any unit vector
-        weights = np.full(len(members), 1.0 / math.sqrt(len(members)))
-    alpha = 1.0 if hyp.interference_on else 0.0
-    sinr = params.gamma_s * float(gains.sum()) / (alpha * params.gamma_p * state.g_pd + 1.0)
-    return MrcResult(weights=weights, sinr=sinr)
-
-
-def _path_outage(
-    state: ChannelState,
-    hyp: Hypothesis,
-    thr: SnrThreshold,
-    params: SystemParams,
-    scheme: Scheme,
-) -> bool:
-    # Decode tests are done on the gain scale; combined < delta*(...) is the
-    # capacity-below-rate test with the log and the SNR scaling divided out.
-    # Expressions mirror the batch kernel exactly so both paths agree bitwise.
-    alpha = 1.0 if hyp.interference_on else 0.0
-    interference = alpha * params.gamma_p * state.g_pd + 1.0
-    if scheme is Scheme.DIRECT:
-        return bool(state.g_sd < thr.delta_direct * interference)
-    dset = decoding_set(state, hyp, thr, params)
-    if dset.is_empty:
-        return True
-    member = np.zeros(params.n_relays, dtype=bool)
-    member[list(dset.relays())] = True
-    forwarded = np.where(member, state.g_id, 0.0)
-    combined = forwarded.sum() if scheme is Scheme.MULTI_RELAY else forwarded.max()
-    return bool(combined < thr.delta * interference)
-
-
-def trial_outage(stream: np.random.Generator, params: SystemParams, scheme: Scheme) -> bool:
-    """Run one conditioned trial: draw the hypothesis, draw all gains, test."""
-    post = params.posterior()
-    thr = params.snr_threshold()
-    hyp = sample_hypothesis(stream, post)
-    state = sample_channel_state(stream, params)
-    return _path_outage(state, hyp, thr, params, scheme)
 
 
 def batch_generator(seed: int, batch_index: int) -> np.random.Generator:

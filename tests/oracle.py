@@ -10,6 +10,12 @@ Exponential in N, so the tests stay at N <= MAX_ORACLE_RELAYS.
 
 Monte Carlo: ``whole_batch_outage_flags`` is the batch kernel drawing a
 batch's uniforms in one piece, the reference for the block-wise kernel.
+``scalar_trial_outage`` is the scalar reference: it runs one trial at a
+time, drawing that trial's 3N+3 uniforms from the stream, mapping them to
+gains in the kernel's column layout and with the kernel's expressions, and
+applying the decode, sum and max tests to plain arrays.  Called
+TRIALS_PER_BATCH times on a batch's stream, it must reproduce the kernel's
+flags for that batch exactly.
 """
 
 import math
@@ -125,3 +131,32 @@ def whole_batch_outage_flags(params, scheme, seed, batch_index):
     forwarded = np.where(decoded, g_id, 0.0)
     combined = forwarded.sum(axis=1) if scheme is Scheme.MULTI_RELAY else forwarded.max(axis=1)
     return combined < thr.delta * interference
+
+
+def decoded_relays(params, g_si, g_pi, alpha):
+    """Decode test of one trial: relay i decodes when g_si[i] beats
+    delta*(alpha*gamma_p*g_pi[i] + 1), alpha being 1.0 under H1 (primary
+    active) and 0.0 under H0."""
+    delta = params.snr_threshold().delta
+    return g_si > delta * (alpha * params.gamma_p * g_pi + 1.0)
+
+
+def scalar_trial_outage(gen, params, scheme):
+    """Outage of the next trial on `gen`, computed one trial at a time."""
+    post = params.posterior()
+    thr = params.snr_threshold()
+    n = params.n_relays
+    v = params.variances
+    u = gen.random(3 * n + 3)
+    alpha = 1.0 if u[0] < post.pi1 else 0.0
+    g_pd = exponential_from_uniform(u[3 * n + 1], v.sigma2_pd)
+    interference = alpha * params.gamma_p * g_pd + 1.0
+    if scheme is Scheme.DIRECT:
+        g_sd = exponential_from_uniform(u[3 * n + 2], v.sigma2_sd)
+        return bool(g_sd < thr.delta_direct * interference)
+    g_si = exponential_from_uniform(u[1 : n + 1], np.asarray(v.sigma2_si))
+    g_pi = exponential_from_uniform(u[n + 1 : 2 * n + 1], np.asarray(v.sigma2_pi))
+    g_id = exponential_from_uniform(u[2 * n + 1 : 3 * n + 1], v.sigma2_d)
+    forwarded = np.where(decoded_relays(params, g_si, g_pi, alpha), g_id, 0.0)
+    combined = forwarded.sum() if scheme is Scheme.MULTI_RELAY else forwarded.max()
+    return bool(combined < thr.delta * interference)

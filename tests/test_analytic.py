@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate
 
 from cogrelay.analytic import (
-    DecodingSet,
     OutageBreakdown,
     decoding_cardinality_pmf,
     outage_best_relay,
@@ -477,19 +476,6 @@ class TestDecodingCardinalityPmf:
 
 
 class TestDomainTypes:
-    def test_decoding_set_accessors(self):
-        d = DecodingSet(mask=0b1011, n_relays=4)
-        assert d.cardinality == 3
-        assert d.relays() == (0, 1, 3)
-        assert not d.is_empty
-        assert DecodingSet(mask=0, n_relays=4).is_empty
-
-    def test_decoding_set_mask_bounds(self):
-        with pytest.raises(ValueError):
-            DecodingSet(mask=16, n_relays=4)
-        with pytest.raises(ValueError):
-            DecodingSet(mask=-1, n_relays=4)
-
     def test_breakdown_total_must_match(self):
         with pytest.raises(ValueError, match="total"):
             OutageBreakdown(

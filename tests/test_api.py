@@ -1,0 +1,61 @@
+import ast
+import re
+from pathlib import Path
+
+import cogrelay
+from cogrelay.montecarlo import shutdown_pool
+
+PUBLIC_API = {
+    "MAX_RELAYS",
+    "ChannelVariances",
+    "OutageBreakdown",
+    "OutageEstimate",
+    "Posterior",
+    "Scheme",
+    "SnrThreshold",
+    "SystemParams",
+    "db_to_linear",
+    "decoding_cardinality_pmf",
+    "estimate_outage",
+    "linear_to_db",
+    "outage_best_relay",
+    "outage_direct",
+    "outage_flags",
+    "outage_multi_relay",
+    "posterior",
+    "reg_lower_gamma",
+    "scaled_upper_gamma_term",
+    "snr_threshold",
+}
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def library_example() -> str:
+    """The first python block of the README's "Library" section."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_public_api_is_pinned_and_resolves():
+    assert set(cogrelay.__all__) == PUBLIC_API
+    assert len(cogrelay.__all__) == len(PUBLIC_API)
+    for name in cogrelay.__all__:
+        assert hasattr(cogrelay, name), name
+
+
+def test_readme_library_example_uses_the_public_api_and_runs():
+    code = library_example()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "cogrelay"
+        for alias in node.names
+    }
+    assert imported and imported <= PUBLIC_API
+    namespace = {}
+    try:
+        exec(compile(code, str(README), "exec"), namespace)
+    finally:
+        shutdown_pool()
+    assert 0.0 < namespace["closed"].total < 1.0

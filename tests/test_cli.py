@@ -315,6 +315,17 @@ class TestMainEntry:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, trials", [("simulate", []), ("validate", ["--trials", "10"])], ids=["simulate", "validate"]
+    )
+    def test_trials_error_leaves_out_file_untouched(self, command, trials, tmp_path, capsys):
+        out_path = tmp_path / "keep.txt"
+        out_path.write_text("previous\n")
+        rc = main([command, "--gamma-s-db", "10", *trials, "--out", str(out_path)])
+        assert rc == 2
+        assert "trials" in capsys.readouterr().err
+        assert out_path.read_text() == "previous\n"
+
     def test_simulate_prints_estimate(self, capsys):
         rc = main([
             "simulate", "--gamma-s-db", "10", "--scheme", "direct",
@@ -397,11 +408,14 @@ class TestMainEntry:
         pytest.param([], {"gamma_s_db": ["x"]}, id="non-numeric-axis"),
         pytest.param(["--pd", "0.9"], {"sensing_pairs": 5}, id="pd-flag-over-malformed-pairs"),
         pytest.param(["--workers", "100000"], None, id="workers-over-cap"),
+        pytest.param(["--out", "{tmp}/missing/x.csv"], None, id="out-missing-dir"),
+        pytest.param(["--out", "{tmp}"], None, id="out-is-directory"),
     ],
 )
 def test_bad_input_exits_2_before_any_output(tmp_path, flags, config):
     """A malformed input anywhere in the grid is rejected up front: exit code
     2, one `error:` line on stderr, no traceback, and not even the CSV header."""
+    flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
     if config is not None:
         path = tmp_path / "cfg.json"
         if isinstance(config, bytes):
@@ -419,3 +433,21 @@ def test_bad_input_exits_2_before_any_output(tmp_path, flags, config):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert proc.stdout == ""
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    """A reader that stops after the first line, like `| head -1`, ends the
+    sweep with exit code 1 and nothing on stderr."""
+    # 2,232 rows, far more than a pipe buffer holds, so writes outlast the reader
+    flags = ["--n-relays", ",".join(map(str, range(1, 25))),
+             "--gamma-s-db", ",".join(map(str, range(31)))]
+    env = {**os.environ, "PYTHONPATH": str(Path(cogrelay.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cogrelay.cli", "sweep", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().decode() == CSV_HEADER + "\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

@@ -6,7 +6,6 @@ import pytest
 from cogrelay.model import (
     MAX_RELAYS,
     ChannelVariances,
-    Hypothesis,
     Posterior,
     Scheme,
     SystemParams,
@@ -100,11 +99,7 @@ class TestDbConversion:
             linear_to_db(0.0)
 
 
-class TestHypothesis:
-    def test_interference_indicator(self):
-        assert not Hypothesis.H0.interference_on
-        assert Hypothesis.H1.interference_on
-
+class TestScheme:
     def test_scheme_names(self):
         assert {s.value for s in Scheme} == {"multi", "best", "direct"}
 

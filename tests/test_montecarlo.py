@@ -13,27 +13,19 @@ from cogrelay.analytic import (
     p_sum_below_h0,
 )
 from cogrelay.cli import build_spec, iter_sweep_rows, run_sweep
-from cogrelay.model import ChannelVariances, Hypothesis, Posterior, Scheme
+from cogrelay.model import ChannelVariances, Scheme
 from cogrelay.montecarlo import (
     MAX_WORKERS,
     TRIALS_PER_BATCH,
-    ChannelState,
-    MrcResult,
     OutageEstimate,
     _batch_outage_flags,
     batch_generator,
-    decoding_set,
     estimate_outage,
     exponential_from_uniform,
-    mrc_combine,
     outage_flags,
-    sample_channel_state,
-    sample_exponential,
-    sample_hypothesis,
     shutdown_pool,
-    trial_outage,
 )
-from oracle import whole_batch_outage_flags
+from oracle import decoded_relays, scalar_trial_outage, whole_batch_outage_flags
 
 
 @pytest.fixture(autouse=True)
@@ -42,16 +34,6 @@ def _reap_pool():
     # it directly must not hand their workers to the next test
     yield
     shutdown_pool()
-
-
-def make_state(g_si, g_pi, g_id, g_pd=0.0, g_sd=0.0):
-    return ChannelState(
-        g_si=np.asarray(g_si, float),
-        g_pi=np.asarray(g_pi, float),
-        g_id=np.asarray(g_id, float),
-        g_pd=g_pd,
-        g_sd=g_sd,
-    )
 
 
 class TestSampling:
@@ -68,167 +50,96 @@ class TestSampling:
         assert out == pytest.approx(-2.0 * np.log1p(-u))
 
     def test_seeded_sample_mean_golden(self):
-        gen = batch_generator(2024, 0)
-        draws = sample_exponential(gen, 0.2, 10**6)
+        draws = exponential_from_uniform(batch_generator(2024, 0).random(10**6), 0.2)
         mean = float(draws.mean())
         assert 0.199 <= mean <= 0.201
         # pinned once; counter-based streams make this exactly reproducible
         assert mean == pytest.approx(0.19994563297574888, rel=1e-12)
 
-    def test_rejects_nonpositive_mean(self):
-        with pytest.raises(ValueError):
-            sample_exponential(batch_generator(0, 0), 0.0)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_hypothesis_degenerate_posteriors(self, scheme, make_params):
+        # pd=1, pf=0: every declared hole is H0, so the primary's power never
+        # reaches a trial; pd=0: every one is H1, and interference only hurts
+        always_h0 = [make_params(8.0, pd=1.0, pf=0.0, gamma_p_db=g) for g in (10.0, 40.0)]
+        assert always_h0[0].posterior().pi1 == 0.0
+        quiet, loud = (outage_flags(p, scheme, 20_000, 3) for p in always_h0)
+        assert np.array_equal(quiet, loud)
+        always_h1 = [make_params(8.0, pd=0.0, pf=0.5, gamma_p_db=g) for g in (10.0, 40.0)]
+        assert always_h1[0].posterior().pi1 == 1.0
+        weak, strong = (outage_flags(p, scheme, 20_000, 3) for p in always_h1)
+        assert not np.any(quiet & ~weak) and weak.sum() > quiet.sum()
+        assert not np.any(weak & ~strong) and strong.sum() > weak.sum()
+        for params, flags in ((always_h0[1], loud), (always_h1[1], strong)):
+            gen = batch_generator(3, 0)
+            scalar = [scalar_trial_outage(gen, params, scheme) for _ in range(2000)]
+            assert np.array_equal(flags[:2000], np.asarray(scalar))
 
-    def test_hypothesis_degenerate_posteriors(self):
-        gen = batch_generator(3, 0)
-        assert all(
-            sample_hypothesis(gen, Posterior(1.0, 0.0)) is Hypothesis.H0
-            for _ in range(500)
-        )
-        assert all(
-            sample_hypothesis(gen, Posterior(0.0, 1.0)) is Hypothesis.H1
-            for _ in range(500)
-        )
-
-    def test_hypothesis_frequency(self):
-        pi1 = 0.02702702702702703
-        post = Posterior(1.0 - pi1, pi1)
-        gen = batch_generator(8, 0)
+    def test_hypothesis_frequency(self, make_params):
+        # direct link at gamma_s = 120 dB and gamma_p = 3000 dB: a trial is in
+        # outage exactly when the primary is active, so the flags are the
+        # kernel's hypothesis draws
+        params = make_params(120.0, gamma_p_db=3000.0)
+        pi1 = params.posterior().pi1
+        assert pi1 == pytest.approx(0.02702702702702703, rel=1e-12)
+        u = batch_generator(8, 0).random((TRIALS_PER_BATCH, 3 * params.n_relays + 3))
+        flags = outage_flags(params, Scheme.DIRECT, TRIALS_PER_BATCH, 8)
+        assert np.array_equal(flags, u[:, 0] < pi1)
         n = 10**6
-        hits = sum(sample_hypothesis(gen, post) is Hypothesis.H1 for _ in range(n))
-        bound = 3.0 * math.sqrt(pi1 * (1.0 - pi1) / n)
-        assert abs(hits / n - pi1) <= bound
-
-    def test_channel_state_shapes(self, make_params):
-        state = sample_channel_state(batch_generator(5, 0), make_params(10.0))
-        assert state.g_si.shape == (6,)
-        assert np.all(state.g_si >= 0) and state.g_pd >= 0 and state.g_sd >= 0
+        hits = estimate_outage(params, Scheme.DIRECT, n, 8).p_hat
+        assert abs(hits - pi1) <= 3.0 * math.sqrt(pi1 * (1.0 - pi1) / n)
 
 
 class TestDecodingSet:
+    # alpha is 0.0 under H0 (band free) and 1.0 under H1 (primary active)
     def test_no_signal_decodes_nothing(self, make_params):
         params = make_params(10.0, n_relays=2)
-        thr = params.snr_threshold()
-        state = make_state([0.0, 0.0], [0.1, 0.1], [1.0, 1.0])
-        assert decoding_set(state, Hypothesis.H0, thr, params).is_empty
+        decoded = decoded_relays(params, np.array([0.0, 0.0]), np.array([0.1, 0.1]), 0.0)
+        assert decoded.tolist() == [False, False]
 
     def test_strong_signal_decodes_everything(self, make_params):
         params = make_params(10.0, n_relays=3)
-        thr = params.snr_threshold()
-        state = make_state([0.6] * 3, [5.0] * 3, [1.0] * 3)
-        dset = decoding_set(state, Hypothesis.H0, thr, params)
-        assert dset.mask == 0b111
+        decoded = decoded_relays(params, np.array([0.6] * 3), np.array([5.0] * 3), 0.0)
+        assert decoded.tolist() == [True, True, True]
 
     def test_interference_knocks_out_weak_relay(self, make_params):
         # relay 0: 0.5 > 0.3*(10*0.01 + 1) = 0.33 -> in
         # relay 1: 0.2 > 0.3*(10*1.0 + 1) = 3.3 -> out
         params = make_params(10.0, n_relays=2)
-        thr = params.snr_threshold()
-        state = make_state([0.5, 0.2], [0.01, 1.0], [1.0, 1.0])
-        dset = decoding_set(state, Hypothesis.H1, thr, params)
-        assert dset.mask == 0b01
+        decoded = decoded_relays(params, np.array([0.5, 0.2]), np.array([0.01, 1.0]), 1.0)
+        assert decoded.tolist() == [True, False]
 
     def test_interference_is_the_only_difference(self, make_params):
         # both gains clear the bare 0.3 threshold, but under interference
         # relay 1 needs 3.3 and drops out
         params = make_params(10.0, n_relays=2)
-        thr = params.snr_threshold()
-        state = make_state([0.5, 0.35], [0.01, 1.0], [1.0, 1.0])
-        assert decoding_set(state, Hypothesis.H0, thr, params).mask == 0b11
-        assert decoding_set(state, Hypothesis.H1, thr, params).mask == 0b01
-
-
-class TestMrcCombine:
-    def test_singleton(self, make_params):
-        params = make_params(10.0, n_relays=1)
-        dset = decoding_set(
-            make_state([1.0], [0.0], [0.7]), Hypothesis.H0, params.snr_threshold(), params
-        )
-        res = mrc_combine(make_state([1.0], [0.0], [0.7]), dset, Hypothesis.H0, params)
-        assert res.weights == pytest.approx([1.0])
-        assert res.sinr == pytest.approx(10.0 * 0.7)
-
-    def test_interference_free_pair(self, make_params):
-        from cogrelay.analytic import DecodingSet
-
-        params = make_params(10.0, n_relays=2)
-        state = make_state([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
-        res = mrc_combine(
-            state, DecodingSet(mask=0b11, n_relays=2), Hypothesis.H0, params
-        )
-        assert res.sinr == pytest.approx(20.0, rel=1e-12)
-
-    def test_interfered_pair(self, make_params):
-        from cogrelay.analytic import DecodingSet
-
-        params = make_params(10.0, n_relays=2)
-        state = make_state([1.0, 1.0], [0.0, 0.0], [0.4, 0.6], g_pd=0.1)
-        res = mrc_combine(
-            state, DecodingSet(mask=0b11, n_relays=2), Hypothesis.H1, params
-        )
-        # 10 * (0.4+0.6) / (10*0.1 + 1) = 5
-        assert res.sinr == pytest.approx(5.0, rel=1e-12)
-
-    def test_empty_set_is_contract_violation(self, make_params):
-        from cogrelay.analytic import DecodingSet
-
-        params = make_params(10.0, n_relays=2)
-        state = make_state([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="empty"):
-            mrc_combine(state, DecodingSet(mask=0, n_relays=2), Hypothesis.H0, params)
-
-    def test_weights_unit_norm_and_match_closed_form(self, make_params):
-        from cogrelay.analytic import DecodingSet
-
-        params = make_params(10.0, n_relays=4)
-        rng = np.random.default_rng(44)
-        for _ in range(200):
-            g_id = rng.exponential(1.0, 4)
-            g_pd = float(rng.exponential(0.2))
-            state = make_state(np.ones(4), np.zeros(4), g_id, g_pd=g_pd)
-            mask = int(rng.integers(1, 16))
-            dset = DecodingSet(mask=mask, n_relays=4)
-            res = mrc_combine(state, dset, Hypothesis.H1, params)
-            assert np.linalg.norm(res.weights) == pytest.approx(1.0, abs=1e-12)
-            members = list(dset.relays())
-            expected = 10.0 * g_id[members].sum() / (10.0 * g_pd + 1.0)
-            assert res.sinr == pytest.approx(expected, rel=1e-10)
-
-    def test_no_unit_norm_alternative_beats_mrc(self, make_params):
-        # Cauchy-Schwarz: (w . sqrt(g))^2 <= sum(g) for any unit-norm w
-        from cogrelay.analytic import DecodingSet
-
-        params = make_params(10.0, n_relays=5)
-        rng = np.random.default_rng(45)
-        for _ in range(1000):
-            g_id = rng.exponential(1.0, 5)
-            state = make_state(np.ones(5), np.zeros(5), g_id)
-            dset = DecodingSet(mask=0b11111, n_relays=5)
-            res = mrc_combine(state, dset, Hypothesis.H0, params)
-            alt = rng.normal(size=5)
-            alt /= np.linalg.norm(alt)
-            alt_sinr = 10.0 * float(alt @ np.sqrt(g_id)) ** 2
-            assert alt_sinr <= res.sinr * (1.0 + 1e-12)
-
-    def test_result_type_validates_norm(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            MrcResult(weights=np.array([0.5, 0.5]), sinr=1.0)
+        g_si, g_pi = np.array([0.5, 0.35]), np.array([0.01, 1.0])
+        assert decoded_relays(params, g_si, g_pi, 0.0).tolist() == [True, True]
+        assert decoded_relays(params, g_si, g_pi, 1.0).tolist() == [True, False]
 
 
 class TestTrialOutage:
     def test_forced_outage(self, make_params):
         # rate so high the threshold is astronomically unreachable
         params = make_params(0.0, rate=40.0, n_relays=2)
-        gen = batch_generator(1, 0)
-        assert all(trial_outage(gen, params, s) for s in Scheme for _ in range(50))
+        assert all(outage_flags(params, s, 50, 1).all() for s in Scheme)
 
+    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_scalar_path_matches_batch_kernel(self, scheme, make_params):
+    def test_scalar_path_matches_batch_kernel(self, scheme, heterogeneous, make_params):
         # a full batch, so every block boundary of the kernel is crossed
-        params = make_params(8.0, pd=0.65, pf=0.35, n_relays=5)
+        variances = None
+        if heterogeneous:
+            variances = ChannelVariances(
+                sigma2_si=(0.5, 1.0, 2.0, 0.8, 1.5),
+                sigma2_pi=(0.1, 0.4, 0.2, 0.3, 0.25),
+                sigma2_d=1.0,
+                sigma2_pd=0.2,
+                sigma2_sd=1.0,
+            )
+        params = make_params(8.0, pd=0.65, pf=0.35, n_relays=5, variances=variances)
         batch = _batch_outage_flags(params, (scheme,), 99, 0)[0]
         gen = batch_generator(99, 0)
-        scalar = [trial_outage(gen, params, scheme) for _ in range(TRIALS_PER_BATCH)]
+        scalar = [scalar_trial_outage(gen, params, scheme) for _ in range(TRIALS_PER_BATCH)]
         assert np.array_equal(batch, np.asarray(scalar))
 
     def test_guaranteed_decoding_leaves_only_the_tail(self, make_params):
@@ -351,6 +262,13 @@ class TestEstimator:
             with pytest.raises(ValueError, match="scheme"):
                 estimate_outage(params, bad, 10**6, 1, workers=2)
         assert not multiprocessing.active_children()
+
+    def test_outage_flags_validation(self, make_params):
+        params = make_params(10.0)
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials"):
+                outage_flags(params, Scheme.MULTI_RELAY, trials, 1)
+        assert outage_flags(params, Scheme.MULTI_RELAY, 1, 1).shape == (1,)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scheme_tuple_matches_single_scheme_calls(self, workers, make_params):
