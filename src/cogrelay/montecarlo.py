@@ -15,9 +15,11 @@ uniform matrix generated by a counter-based Philox stream keyed with
 (seed, t // TRIALS_PER_BATCH).  The kernel draws that matrix in blocks of
 BLOCK_ROWS consecutive rows, one block after another from the same stream,
 so every row holds exactly the uniforms a single whole-matrix draw would.
-Batches are fixed-size regardless of the requested trial count, so
-estimates are bit-identical for any worker count and any longer run
-reproduces a shorter run's trials exactly as its prefix.
+Batch boundaries are fixed regardless of the requested trial count, and a
+batch draws only the rows of the trials it serves: the stream fills rows in
+order, so a shorter draw is an exact prefix of a longer one.  Estimates are
+therefore bit-identical for any worker count, and any longer run reproduces
+a shorter run's trials exactly as its prefix.
 
 Schemes share sample paths: at equal (params, seed) every scheme reads the
 same rows.  The kernel therefore draws and transforms each block once and
@@ -38,6 +40,7 @@ time.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -111,18 +114,27 @@ def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _batch_outage_flags(
-    params: SystemParams, schemes: tuple[Scheme, ...], seed: int, batch_index: int
+    params: SystemParams,
+    schemes: tuple[Scheme, ...],
+    seed: int,
+    batch_index: int,
+    rows: int = TRIALS_PER_BATCH,
 ) -> np.ndarray:
-    """Outage flags for one full batch of TRIALS_PER_BATCH trials, one row
-    per requested scheme, in the order given.
+    """Outage flags for the first `rows` trials of one batch, one row per
+    requested scheme, in the order given.
 
     Column r holds trial batch_index*TRIALS_PER_BATCH + r.  The uniform
     matrix is drawn BLOCK_ROWS rows at a time from the batch's one stream,
-    and every row is always drawn, whatever the schemes or how many trials
-    the caller actually needs, so trial outcomes never depend on context.
+    and only its first `rows` rows are drawn.  The stream fills rows in
+    order, so each row holds the same uniforms whatever `rows` is, and the
+    flags are exactly the first `rows` columns of the full batch's flags.
     Each block's gains, decode mask and forwarded gains are computed once
     and shared by every scheme, whose flags are exactly those of a call
     asking for that scheme alone.
+
+    The primary's gains (g_pi, g_pd) are transformed on H1 rows only: on H0
+    rows alpha*gamma_p*g is exactly 0.0, so the decode threshold is delta
+    and the interference factor 1.0, bit for bit.
     """
     post = params.posterior()
     thr = params.snr_threshold()
@@ -132,33 +144,39 @@ def _batch_outage_flags(
     sigma2_pi = np.asarray(v.sigma2_pi)
     relayed = any(s is not Scheme.DIRECT for s in schemes)
     gen = batch_generator(seed, batch_index)
-    flags = np.empty((len(schemes), TRIALS_PER_BATCH), dtype=bool)
-    for start in range(0, TRIALS_PER_BATCH, BLOCK_ROWS):
-        u = gen.random((BLOCK_ROWS, 3 * n + 3))
-        alpha = (u[:, 0] < post.pi1).astype(np.float64)
-        g_pd = exponential_from_uniform(u[:, 3 * n + 1], v.sigma2_pd)
-        interference = alpha * params.gamma_p * g_pd + 1.0
+    flags = np.empty((len(schemes), rows), dtype=bool)
+    for start in range(0, rows, BLOCK_ROWS):
+        u = gen.random((min(BLOCK_ROWS, rows - start), 3 * n + 3))
+        h1 = np.flatnonzero(u[:, 0] < post.pi1)
+        interference = np.ones(len(u))
+        g_pd = exponential_from_uniform(u[h1, 3 * n + 1], v.sigma2_pd)
+        interference[h1] = params.gamma_p * g_pd + 1.0
         if relayed:
             g_si = exponential_from_uniform(u[:, 1 : n + 1], sigma2_si)
-            g_pi = exponential_from_uniform(u[:, n + 1 : 2 * n + 1], sigma2_pi)
+            g_pi = exponential_from_uniform(u[h1, n + 1 : 2 * n + 1], sigma2_pi)
             g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
-            decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
+            decoded = g_si > thr.delta
+            decoded[h1] = g_si[h1] > thr.delta * (params.gamma_p * g_pi + 1.0)
             forwarded = np.where(decoded, g_id, 0.0)
         for out, scheme in zip(flags[:, start : start + BLOCK_ROWS], schemes):
             if scheme is Scheme.DIRECT:
                 g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
                 np.less(g_sd, thr.delta_direct * interference, out=out)
             elif scheme is Scheme.MULTI_RELAY:
+                # the sum keeps numpy's pairwise order, which sets its bits
                 np.less(forwarded.sum(axis=1), thr.delta * interference, out=out)
             else:
-                np.less(forwarded.max(axis=1), thr.delta * interference, out=out)
+                # column by column: max is exact in any order, and a row-wise
+                # reduction over N columns is several times slower
+                best = functools.reduce(np.maximum, forwarded.T)
+                np.less(best, thr.delta * interference, out=out)
     return flags
 
 
 def _batch_outage_count(task) -> tuple[int, ...]:
     params, schemes, seed, batch_index, limit = task
-    flags = _batch_outage_flags(params, schemes, seed, batch_index)
-    return tuple(int(c) for c in flags[:, :limit].sum(axis=1))
+    flags = _batch_outage_flags(params, schemes, seed, batch_index, rows=limit)
+    return tuple(int(c) for c in flags.sum(axis=1))
 
 
 def _batch_tasks(params: SystemParams, schemes: tuple[Scheme, ...], trials: int, seed: int):
@@ -168,6 +186,13 @@ def _batch_tasks(params: SystemParams, schemes: tuple[Scheme, ...], trials: int,
         yield (params, schemes, seed, b, limit)
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int; a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def outage_flags(
     params: SystemParams, scheme: Scheme, trials: int, seed: int
 ) -> np.ndarray:
@@ -175,14 +200,16 @@ def outage_flags(
 
     Schemes share sample paths at equal (params, seed): comparing the arrays
     of two schemes compares them trial by trial on identical fading draws.
+    `trials` and `seed` must be integers (not bools), `trials` >= 1.
     """
+    trials = _integer("trials", trials)
+    seed = _integer("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     out = np.empty(trials, dtype=bool)
     for _, _, _, b, limit in _batch_tasks(params, (scheme,), trials, seed):
-        flags = _batch_outage_flags(params, (scheme,), seed, b)
         start = b * TRIALS_PER_BATCH
-        out[start : start + limit] = flags[0, :limit]
+        out[start : start + limit] = _batch_outage_flags(params, (scheme,), seed, b, rows=limit)[0]
     return out
 
 
@@ -246,15 +273,18 @@ def estimate_outage(
     With workers > 1, batches are distributed across the shared pool of
     `workers` processes (see the module docstring for its lifetime);
     per-batch outage counts are integers, so the total is exactly the same
-    whatever the worker count or scheduling order.  `workers` must lie in
-    [1, MAX_WORKERS].
+    whatever the worker count or scheduling order.  `trials`, `seed` and
+    `workers` must be integers (not bools), `trials` >= 1 and `workers` in
+    [1, MAX_WORKERS]; a bad value raises ValueError before any pool starts.
     """
     schemes = _requested_schemes(scheme)
+    trials = _integer("trials", trials)
+    seed = _integer("seed", seed) & _SEED_MASK
+    workers = _integer("workers", workers)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    seed = seed & _SEED_MASK
     tasks = list(_batch_tasks(params, schemes, trials, seed))
     if workers == 1 or len(tasks) == 1:
         counts = [_batch_outage_count(t) for t in tasks]

@@ -159,31 +159,84 @@ class TestTrialOutage:
 SCHEME_TUPLES = [t for r in (1, 2, 3) for t in itertools.permutations(Scheme, r)]
 
 
-class TestBlockedKernel:
-    @pytest.mark.parametrize("n_relays", [1, 6, 24])
-    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
-    @pytest.mark.parametrize(
+def _kernel_params(make_params, heterogeneous, n_relays, **kwargs):
+    variances = None
+    if heterogeneous:
+        rng = np.random.default_rng(n_relays)
+        variances = ChannelVariances(
+            sigma2_si=tuple(rng.uniform(0.5, 2.0, n_relays)),
+            sigma2_pi=tuple(rng.uniform(0.1, 0.4, n_relays)),
+            sigma2_d=1.0,
+            sigma2_pd=0.2,
+            sigma2_sd=1.0,
+        )
+    return make_params(8.0, n_relays=n_relays, variances=variances, **kwargs)
+
+
+# Row counts around the block and batch edges (BLOCK_ROWS = 2048), plus two
+# that end inside a block: 576 and 848 are the rows the last batch of a
+# 1e6-trial and a 50k-trial run uses.
+PREFIX_ROWS = [1, 576, 848, 2047, 2048, 2049, 16383, 16384]
+
+
+def kernel_cases(test):
+    """Every ordered scheme subset, homogeneous and heterogeneous, N 1/6/24."""
+    test = pytest.mark.parametrize(
         "schemes", SCHEME_TUPLES, ids=lambda t: "+".join(s.value for s in t)
-    )
+    )(test)
+    test = pytest.mark.parametrize(
+        "heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"]
+    )(test)
+    return pytest.mark.parametrize("n_relays", [1, 6, 24])(test)
+
+
+class TestBlockedKernel:
+    @kernel_cases
     def test_matches_whole_batch_kernel(self, schemes, heterogeneous, n_relays, make_params):
         # each scheme's row equals the oracle for that scheme alone, whatever
         # other schemes share the draw and in whatever order
-        variances = None
-        if heterogeneous:
-            rng = np.random.default_rng(n_relays)
-            variances = ChannelVariances(
-                sigma2_si=tuple(rng.uniform(0.5, 2.0, n_relays)),
-                sigma2_pi=tuple(rng.uniform(0.1, 0.4, n_relays)),
-                sigma2_d=1.0,
-                sigma2_pd=0.2,
-                sigma2_sd=1.0,
-            )
-        params = make_params(8.0, n_relays=n_relays, variances=variances)
+        params = _kernel_params(make_params, heterogeneous, n_relays)
         for batch in (0, 1):
             flags = _batch_outage_flags(params, schemes, 4242, batch)
             assert flags.shape == (len(schemes), TRIALS_PER_BATCH)
             for row, scheme in zip(flags, schemes):
                 assert np.array_equal(row, whole_batch_outage_flags(params, scheme, 4242, batch))
+
+    @kernel_cases
+    def test_prefix_matches_whole_batch_kernel(self, schemes, heterogeneous, n_relays, make_params):
+        # drawing only the first `rows` rows leaves each of them as it is
+        params = _kernel_params(make_params, heterogeneous, n_relays)
+        whole = [whole_batch_outage_flags(params, s, 4242, 1) for s in schemes]
+        for rows in PREFIX_ROWS:
+            flags = _batch_outage_flags(params, schemes, 4242, 1, rows=rows)
+            assert flags.shape == (len(schemes), rows)
+            for row, reference in zip(flags, whole):
+                assert np.array_equal(row, reference[:rows])
+
+    @pytest.mark.parametrize(
+        "pd, pf, pi1",
+        [(1.0, 0.0, 0.0), (0.0, 0.1, 1.0), (0.65, 0.35, 0.11864406779661017)],
+        ids=["no-h1-row", "all-h1-rows", "pd0.65-pf0.35"],
+    )
+    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
+    def test_h1_rows_edge_cases(self, pd, pf, pi1, heterogeneous, make_params):
+        # the primary's gains are transformed on H1 rows only: an empty H1
+        # index, one that covers every row, and a large H1 share
+        params = _kernel_params(make_params, heterogeneous, 6, pd=pd, pf=pf)
+        assert params.posterior().pi1 == pytest.approx(pi1, rel=1e-12, abs=0)
+        schemes = tuple(Scheme)
+        for rows in (TRIALS_PER_BATCH, 2049):
+            flags = _batch_outage_flags(params, schemes, 99, 0, rows=rows)
+            for row, scheme in zip(flags, schemes):
+                assert np.array_equal(row, whole_batch_outage_flags(params, scheme, 99, 0)[:rows])
+
+
+# (argument, value) pairs that are not integers, each alone in a call
+NOT_INTEGERS = [
+    ("trials", 100000.0), ("trials", True), ("trials", "100"),
+    ("seed", 1.5), ("seed", False), ("seed", None),
+    ("workers", 2.0), ("workers", True),
+]
 
 
 class TestEstimator:
@@ -261,6 +314,10 @@ class TestEstimator:
         for bad in ((), (Scheme.BEST_RELAY, Scheme.BEST_RELAY), (Scheme.DIRECT, "multi"), "multi"):
             with pytest.raises(ValueError, match="scheme"):
                 estimate_outage(params, bad, 10**6, 1, workers=2)
+        for name, bad in NOT_INTEGERS:
+            args = {"trials": 10**6, "seed": 1, "workers": 2, name: bad}
+            with pytest.raises(ValueError, match=name):
+                estimate_outage(params, Scheme.DIRECT, **args)
         assert not multiprocessing.active_children()
 
     def test_outage_flags_validation(self, make_params):
@@ -268,7 +325,37 @@ class TestEstimator:
         for trials in (0, -1):
             with pytest.raises(ValueError, match="trials"):
                 outage_flags(params, Scheme.MULTI_RELAY, trials, 1)
+        for name, bad in NOT_INTEGERS:
+            if name != "workers":
+                args = {"trials": 100, "seed": 1, name: bad}
+                with pytest.raises(ValueError, match=name):
+                    outage_flags(params, Scheme.MULTI_RELAY, **args)
         assert outage_flags(params, Scheme.MULTI_RELAY, 1, 1).shape == (1,)
+        assert np.array_equal(
+            outage_flags(params, Scheme.MULTI_RELAY, np.int64(100), np.uint64(1)),
+            outage_flags(params, Scheme.MULTI_RELAY, 100, 1),
+        )
+
+    @pytest.mark.parametrize("trials", [50_000, 10**6])
+    def test_draws_only_the_uniforms_of_its_trials(self, trials, make_params, monkeypatch):
+        # every trial reads one row of 3N+3 uniforms, and nothing else is drawn
+        drawn = []
+
+        class CountingGenerator:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, size):
+                drawn.append(math.prod(size))
+                return self.gen.random(size)
+
+        make_generator = montecarlo.batch_generator
+        monkeypatch.setattr(
+            montecarlo, "batch_generator", lambda *key: CountingGenerator(make_generator(*key))
+        )
+        params = make_params(10.0)
+        estimate_outage(params, tuple(Scheme), trials, 3)
+        assert sum(drawn) == trials * (3 * params.n_relays + 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scheme_tuple_matches_single_scheme_calls(self, workers, make_params):
