@@ -6,7 +6,6 @@ benchmarks.
 
 from .analytic import (
     OutageBreakdown,
-    decoding_cardinality_pmf,
     outage_best_relay,
     outage_direct,
     outage_multi_relay,
@@ -14,17 +13,13 @@ from .analytic import (
 from .model import (
     MAX_RELAYS,
     ChannelVariances,
-    Posterior,
     Scheme,
-    SnrThreshold,
     SystemParams,
     db_to_linear,
-    linear_to_db,
     posterior,
     snr_threshold,
 )
 from .montecarlo import OutageEstimate, estimate_outage, outage_flags
-from .specfun import reg_lower_gamma, scaled_upper_gamma_term
 
 __version__ = "0.1.0"
 
@@ -33,20 +28,14 @@ __all__ = [
     "ChannelVariances",
     "OutageBreakdown",
     "OutageEstimate",
-    "Posterior",
     "Scheme",
-    "SnrThreshold",
     "SystemParams",
     "db_to_linear",
-    "decoding_cardinality_pmf",
     "estimate_outage",
-    "linear_to_db",
     "outage_best_relay",
     "outage_direct",
     "outage_flags",
     "outage_multi_relay",
     "posterior",
-    "reg_lower_gamma",
-    "scaled_upper_gamma_term",
     "snr_threshold",
 ]

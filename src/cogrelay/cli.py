@@ -357,31 +357,40 @@ class SweepRow:
 def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
     """Yield one SweepRow per grid point, in emission order.
 
-    Every (pd, pf, N, gamma_s) point gets its Monte Carlo estimates for all
-    of spec.schemes from one estimate_outage call, made at the point's first
-    row; its later rows take theirs from that call, which is then dropped.
-    The sweep's calls share one worker pool, which is shut down when the
-    rows run out or the generator is closed."""
+    Every (pd, pf, N) line gets the Monte Carlo estimates of all its gamma_s
+    points, for all of spec.schemes, from one estimate_outage call, made at
+    the line's first row: the points share every draw and transform of the
+    call's batches.  The line's later rows take theirs from that call, which
+    is dropped after the line's last row.  The sweep's calls share one
+    worker pool, which is shut down when the rows run out or the generator
+    is closed."""
     points = sweep_points(spec)
-    # rows still to come per point, counted only when points carry estimates
-    rows_left = Counter(p[1:] for p in points) if spec.trials > 0 else None
-    estimates: dict[tuple[float, float, int, float], dict[Scheme, OutageEstimate]] = {}
+    # the distinct gamma_s values, in emission order
+    line_gammas = sorted(set(spec.gamma_s_db))
+    # rows still to come per line, counted only when points carry estimates
+    rows_left = Counter(p[1:4] for p in points) if spec.trials > 0 else None
+    estimates: dict[tuple[float, float, int], dict[tuple[float, Scheme], OutageEstimate]] = {}
     try:
         for scheme, pd, pf, n, g in points:
             params = _params_at(spec, pd, pf, n, g)
             total = analytic_outage(params, scheme).total
             est = None
             if spec.trials > 0:
-                point = (pd, pf, n, g)
-                if point not in estimates:
+                line = (pd, pf, n)
+                if line not in estimates:
                     fused = estimate_outage(
-                        params, spec.schemes, spec.trials, spec.seed, workers=workers
+                        tuple(_params_at(spec, pd, pf, n, x) for x in line_gammas),
+                        spec.schemes, spec.trials, spec.seed, workers=workers,
                     )
-                    estimates[point] = dict(zip(spec.schemes, fused))
-                est = estimates[point][scheme]
-                rows_left[point] -= 1
-                if not rows_left[point]:
-                    del estimates[point]
+                    estimates[line] = {
+                        (x, s): e
+                        for x, per_scheme in zip(line_gammas, fused)
+                        for s, e in zip(spec.schemes, per_scheme)
+                    }
+                est = estimates[line][g, scheme]
+                rows_left[line] -= 1
+                if not rows_left[line]:
+                    del estimates[line]
             yield SweepRow(
                 scheme=scheme,
                 n_relays=n,

@@ -22,11 +22,16 @@ therefore bit-identical for any worker count, and any longer run reproduces
 a shorter run's trials exactly as its prefix.
 
 Schemes share sample paths: at equal (params, seed) every scheme reads the
-same rows.  The kernel therefore draws and transforms each block once and
-emits flags for every requested scheme from that one draw;
-``estimate_outage`` with a tuple of schemes returns one estimate per scheme
-from one pass over the batches.  A scheme's flags do not depend on which
-other schemes were requested with it.
+same rows.  So do points that differ only in gamma_s, the axis of every
+sweep line: the uniforms depend on the seed, the batch and the row width
+3N+3 only, and no variance depends on gamma_s, so such points share every
+gain and differ only in their thresholds delta and delta_direct (common
+random numbers).  The kernel therefore draws and transforms each block once
+and emits flags for every requested point and scheme from that one draw;
+``estimate_outage`` with a tuple of points or of schemes returns one entry
+per point or scheme from one pass over the batches.  A point's flags for a
+scheme do not depend on which other points or schemes were requested with
+it.
 
 Worker pool: ``estimate_outage`` with workers > 1 hands batches to one
 process pool, started at the first pooled batch and reused by every later
@@ -43,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,76 +119,90 @@ def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
 
 
 def _batch_outage_flags(
-    params: SystemParams,
+    points: tuple[SystemParams, ...],
     schemes: tuple[Scheme, ...],
     seed: int,
     batch_index: int,
     rows: int = TRIALS_PER_BATCH,
 ) -> np.ndarray:
-    """Outage flags for the first `rows` trials of one batch, one row per
-    requested scheme, in the order given.
+    """Outage flags for the first `rows` trials of one batch: flags[p, s]
+    holds point p's flags for scheme s, in the orders given.
+
+    The points differ only in gamma_s (``_requested_points`` checks that),
+    so they read the same uniforms and gains; only their thresholds differ.
 
     Column r holds trial batch_index*TRIALS_PER_BATCH + r.  The uniform
     matrix is drawn BLOCK_ROWS rows at a time from the batch's one stream,
     and only its first `rows` rows are drawn.  The stream fills rows in
     order, so each row holds the same uniforms whatever `rows` is, and the
     flags are exactly the first `rows` columns of the full batch's flags.
-    Each block's gains, decode mask and forwarded gains are computed once
-    and shared by every scheme, whose flags are exactly those of a call
-    asking for that scheme alone.
+    Each block's gains and interference factors are computed once and shared
+    by every point; each point's decode mask and forwarded gains are shared
+    by every scheme.  A point's flags for a scheme are exactly those of a
+    call asking for that point and scheme alone.
 
     The primary's gains (g_pi, g_pd) are transformed on H1 rows only: on H0
     rows alpha*gamma_p*g is exactly 0.0, so the decode threshold is delta
     and the interference factor 1.0, bit for bit.
     """
-    post = params.posterior()
-    thr = params.snr_threshold()
-    n = params.n_relays
-    v = params.variances
+    first = points[0]
+    post = first.posterior()
+    thresholds = [p.snr_threshold() for p in points]
+    n = first.n_relays
+    v = first.variances
+    gamma_p = first.gamma_p
     sigma2_si = np.asarray(v.sigma2_si)
     sigma2_pi = np.asarray(v.sigma2_pi)
     relayed = any(s is not Scheme.DIRECT for s in schemes)
+    direct = Scheme.DIRECT in schemes
     gen = batch_generator(seed, batch_index)
-    flags = np.empty((len(schemes), rows), dtype=bool)
+    flags = np.empty((len(points), len(schemes), rows), dtype=bool)
     for start in range(0, rows, BLOCK_ROWS):
         u = gen.random((min(BLOCK_ROWS, rows - start), 3 * n + 3))
         h1 = np.flatnonzero(u[:, 0] < post.pi1)
         interference = np.ones(len(u))
         g_pd = exponential_from_uniform(u[h1, 3 * n + 1], v.sigma2_pd)
-        interference[h1] = params.gamma_p * g_pd + 1.0
+        interference[h1] = gamma_p * g_pd + 1.0
         if relayed:
             g_si = exponential_from_uniform(u[:, 1 : n + 1], sigma2_si)
+            g_si_h1 = g_si[h1]
             g_pi = exponential_from_uniform(u[h1, n + 1 : 2 * n + 1], sigma2_pi)
+            interference_pi = gamma_p * g_pi + 1.0
             g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
-            decoded = g_si > thr.delta
-            decoded[h1] = g_si[h1] > thr.delta * (params.gamma_p * g_pi + 1.0)
-            forwarded = np.where(decoded, g_id, 0.0)
-        for out, scheme in zip(flags[:, start : start + BLOCK_ROWS], schemes):
-            if scheme is Scheme.DIRECT:
-                g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
-                np.less(g_sd, thr.delta_direct * interference, out=out)
-            elif scheme is Scheme.MULTI_RELAY:
-                # the sum keeps numpy's pairwise order, which sets its bits
-                np.less(forwarded.sum(axis=1), thr.delta * interference, out=out)
-            else:
-                # column by column: max is exact in any order, and a row-wise
-                # reduction over N columns is several times slower
-                best = functools.reduce(np.maximum, forwarded.T)
-                np.less(best, thr.delta * interference, out=out)
+        if direct:
+            g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
+        for thr, out_point in zip(thresholds, flags[:, :, start : start + BLOCK_ROWS]):
+            if relayed:
+                decoded = g_si > thr.delta
+                decoded[h1] = g_si_h1 > thr.delta * interference_pi
+                forwarded = np.where(decoded, g_id, 0.0)
+                relay_limit = thr.delta * interference
+            for out, scheme in zip(out_point, schemes):
+                if scheme is Scheme.DIRECT:
+                    np.less(g_sd, thr.delta_direct * interference, out=out)
+                elif scheme is Scheme.MULTI_RELAY:
+                    # the sum keeps numpy's pairwise order, which sets its bits
+                    np.less(forwarded.sum(axis=1), relay_limit, out=out)
+                else:
+                    # column by column: max is exact in any order, and a
+                    # row-wise reduction over N columns is several times slower
+                    best = functools.reduce(np.maximum, forwarded.T)
+                    np.less(best, relay_limit, out=out)
     return flags
 
 
-def _batch_outage_count(task) -> tuple[int, ...]:
-    params, schemes, seed, batch_index, limit = task
-    flags = _batch_outage_flags(params, schemes, seed, batch_index, rows=limit)
-    return tuple(int(c) for c in flags.sum(axis=1))
+def _batch_outage_count(task) -> np.ndarray:
+    points, schemes, seed, batch_index, limit = task
+    return _batch_outage_flags(points, schemes, seed, batch_index, rows=limit).sum(axis=2)
 
 
-def _batch_tasks(params: SystemParams, schemes: tuple[Scheme, ...], trials: int, seed: int):
+def _batch_tasks(
+    points: tuple[SystemParams, ...], schemes: tuple[Scheme, ...], trials: int, seed: int
+):
     n_batches = -(-trials // TRIALS_PER_BATCH)
     for b in range(n_batches):
         limit = min(TRIALS_PER_BATCH, trials - b * TRIALS_PER_BATCH)
-        yield (params, schemes, seed, b, limit)
+        yield (points, schemes, seed, b, limit)
 
 
 def _integer(name: str, value) -> int:
@@ -207,9 +226,10 @@ def outage_flags(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     out = np.empty(trials, dtype=bool)
-    for _, _, _, b, limit in _batch_tasks(params, (scheme,), trials, seed):
+    for _, _, _, b, limit in _batch_tasks((params,), (scheme,), trials, seed):
         start = b * TRIALS_PER_BATCH
-        out[start : start + limit] = _batch_outage_flags(params, (scheme,), seed, b, rows=limit)[0]
+        flags = _batch_outage_flags((params,), (scheme,), seed, b, rows=limit)
+        out[start : start + limit] = flags[0, 0]
     return out
 
 
@@ -228,7 +248,7 @@ def shutdown_pool() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _pooled_counts(tasks: list, workers: int) -> list[tuple[int, ...]]:
+def _pooled_counts(tasks: list, workers: int) -> list[np.ndarray]:
     global _pool, _pool_workers
     if workers != _pool_workers:
         shutdown_pool()
@@ -256,27 +276,51 @@ def _requested_schemes(scheme) -> tuple[Scheme, ...]:
     return schemes
 
 
+# the SystemParams fields that every point of one call must share
+_SHARED_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "gamma_s")
+
+
+def _requested_points(params) -> tuple[SystemParams, ...]:
+    points = params if isinstance(params, tuple) else (params,)
+    if not points:
+        raise ValueError("params tuple must not be empty")
+    for p in points:
+        if not isinstance(p, SystemParams):
+            raise ValueError(f"params must be SystemParams, got {p!r}")
+    for name in _SHARED_FIELDS:
+        if any(getattr(p, name) != getattr(points[0], name) for p in points[1:]):
+            raise ValueError(f"params tuple: points differ in {name}; only gamma_s may vary")
+    return points
+
+
 def estimate_outage(
-    params: SystemParams,
+    params: SystemParams | tuple[SystemParams, ...],
     scheme: Scheme | tuple[Scheme, ...],
     trials: int,
     seed: int,
     workers: int = 1,
-) -> OutageEstimate | tuple[OutageEstimate, ...]:
+) -> OutageEstimate | tuple:
     """Estimate the outage probability from `trials` independent trials.
 
-    `scheme` is one Scheme, which returns one OutageEstimate, or a tuple of
-    distinct schemes, which returns one estimate per scheme in the same
-    order.  Every scheme's flags come from the same draw of each batch, and
-    each estimate equals the one a call for that scheme alone returns.
+    `scheme` is one Scheme, which gives one OutageEstimate, or a tuple of
+    distinct schemes, which gives one estimate per scheme in the same order.
+    `params` is one SystemParams, or a tuple of points that differ only in
+    gamma_s, which returns one entry per point in the same order.  Every
+    point and scheme reads the same trials, so all of them come from one
+    pass over the batches: one draw and one transform of each block.  Each
+    entry equals what a call with that point alone returns, and each
+    estimate what a call for that scheme alone returns.
 
     With workers > 1, batches are distributed across the shared pool of
     `workers` processes (see the module docstring for its lifetime);
     per-batch outage counts are integers, so the total is exactly the same
     whatever the worker count or scheduling order.  `trials`, `seed` and
     `workers` must be integers (not bools), `trials` >= 1 and `workers` in
-    [1, MAX_WORKERS]; a bad value raises ValueError before any pool starts.
+    [1, MAX_WORKERS]; a bad value, an empty or mixed tuple of points, or
+    points differing in anything but gamma_s raises ValueError before any
+    pool starts.
     """
+    points = _requested_points(params)
     schemes = _requested_schemes(scheme)
     trials = _integer("trials", trials)
     seed = _integer("seed", seed) & _SEED_MASK
@@ -285,12 +329,15 @@ def estimate_outage(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    tasks = list(_batch_tasks(params, schemes, trials, seed))
+    tasks = list(_batch_tasks(points, schemes, trials, seed))
     if workers == 1 or len(tasks) == 1:
         counts = [_batch_outage_count(t) for t in tasks]
     else:
         counts = _pooled_counts(tasks, workers)
-    estimates = tuple(
-        OutageEstimate.from_count(sum(per_scheme), trials, seed) for per_scheme in zip(*counts)
-    )
-    return estimates if isinstance(scheme, tuple) else estimates[0]
+    estimates = [
+        tuple(OutageEstimate.from_count(int(c), trials, seed) for c in per_point)
+        for per_point in np.sum(counts, axis=0)
+    ]
+    if not isinstance(scheme, tuple):
+        estimates = [per_point[0] for per_point in estimates]
+    return tuple(estimates) if isinstance(params, tuple) else estimates[0]

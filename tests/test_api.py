@@ -10,21 +10,15 @@ PUBLIC_API = {
     "ChannelVariances",
     "OutageBreakdown",
     "OutageEstimate",
-    "Posterior",
     "Scheme",
-    "SnrThreshold",
     "SystemParams",
     "db_to_linear",
-    "decoding_cardinality_pmf",
     "estimate_outage",
-    "linear_to_db",
     "outage_best_relay",
     "outage_direct",
     "outage_flags",
     "outage_multi_relay",
     "posterior",
-    "reg_lower_gamma",
-    "scaled_upper_gamma_term",
     "snr_threshold",
 }
 

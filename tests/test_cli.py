@@ -22,7 +22,7 @@ from cogrelay.cli import (
     sweep_points,
     validate_points,
 )
-from cogrelay.model import Scheme
+from cogrelay.model import Scheme, db_to_linear
 
 STUDY_CONFIG = {
     "gamma_s_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
@@ -147,27 +147,36 @@ class TestSweep:
         outputs = {sweep_csv(build_spec(cfg), workers=w) for w in (1, 4)}
         assert len(outputs) == 1
 
-    def test_one_estimate_call_per_point(self, monkeypatch):
-        # the repeated 10 dB value is one (pd, pf, N, gamma_s) point: one call,
-        # and its rows in every scheme repeat the same estimate
+    def test_one_estimate_call_per_line(self, monkeypatch):
+        # one call per (pd, pf, N) line, made at its first row, carries the
+        # line's distinct gamma_s points and every scheme; the repeated 10 dB
+        # value is one point, so its rows in every scheme repeat one estimate
         from cogrelay import cli
 
         calls = []
         real = cli.estimate_outage
 
         def counting(params, scheme, trials, seed, workers=1):
-            calls.append((params.n_relays, params.gamma_s, scheme))
+            calls.append((params, scheme))
             return real(params, scheme, trials, seed, workers=workers)
 
         monkeypatch.setattr(cli, "estimate_outage", counting)
-        spec = build_spec({"gamma_s_db": [5.0, 10.0, 10.0], "relay_counts": [4, 6],
+        spec = build_spec({"gamma_s_db": [10.0, 5.0, 10.0], "relay_counts": [4, 6],
+                           "sensing_pairs": [[0.9, 0.1], [0.8, 0.2]],
                            "trials": 20_000, "seed": 2})
-        rows = list(iter_sweep_rows(spec))
-        assert len(rows) == 3 * 2 * 3
-        assert len(calls) == 2 * 2
-        assert len(set(calls)) == len(calls)
-        assert all(scheme == spec.schemes for _, _, scheme in calls)
+        rows = iter_sweep_rows(spec)
+        first = next(rows)
+        assert len(calls) == 1
+        rows = [first, *rows]
+        assert len(rows) == 3 * 2 * 2 * 3
+        lines = list(dict.fromkeys((r.pd, r.pf, r.n_relays) for r in rows))
+        assert len(calls) == len(lines) == 2 * 2
+        for (params, scheme), (pd, pf, n) in zip(calls, lines):
+            assert scheme == spec.schemes
+            assert [p.gamma_s for p in params] == [db_to_linear(5.0), db_to_linear(10.0)]
+            assert {(p.pd, p.pf, p.n_relays) for p in params} == {(pd, pf, n)}
         for a, b in zip(rows[1::3], rows[2::3]):
+            assert a.gamma_s_db == b.gamma_s_db == 10.0
             assert a == b
 
     def test_scheme_subset_rows_equal_full_sweep_rows(self):
@@ -177,6 +186,14 @@ class TestSweep:
         best = sweep_csv(build_spec({**cfg, "schemes": ["best"]})).splitlines()
         assert best[1:] == [line for line in full[1:] if line.startswith("best,")]
         assert len(best) == 1 + 2 * 2
+
+    def test_snr_subset_rows_equal_full_sweep_rows(self):
+        # an estimate never depends on which other SNR points share its line
+        cfg = {"gamma_s_db": [0.0, 10.0, 20.0], "relay_counts": [2, 6], "trials": 40_000, "seed": 8}
+        full = sweep_csv(build_spec(cfg)).splitlines()
+        one = sweep_csv(build_spec({**cfg, "gamma_s_db": [10.0]})).splitlines()
+        assert one[1:] == [line for line in full[1:] if line.split(",")[4] == "10"]
+        assert len(one) == 1 + 3 * 2
 
     def test_golden_row_format(self):
         # frozen: 10 significant digits, ints unpadded, trailing seed column

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -13,7 +14,7 @@ from cogrelay.analytic import (
     p_sum_below_h0,
 )
 from cogrelay.cli import build_spec, iter_sweep_rows, run_sweep
-from cogrelay.model import ChannelVariances, Scheme
+from cogrelay.model import ChannelVariances, Scheme, db_to_linear
 from cogrelay.montecarlo import (
     MAX_WORKERS,
     TRIALS_PER_BATCH,
@@ -34,6 +35,27 @@ def _reap_pool():
     # it directly must not hand their workers to the next test
     yield
     shutdown_pool()
+
+
+@pytest.fixture
+def drawn_uniforms(monkeypatch):
+    """The sizes of every uniform draw the kernel makes, in order, counted by
+    a proxy around each batch's generator."""
+    drawn = []
+
+    class CountingGenerator:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, size):
+            drawn.append(math.prod(size))
+            return self.gen.random(size)
+
+    make_generator = montecarlo.batch_generator
+    monkeypatch.setattr(
+        montecarlo, "batch_generator", lambda *key: CountingGenerator(make_generator(*key))
+    )
+    return drawn
 
 
 class TestSampling:
@@ -137,7 +159,7 @@ class TestTrialOutage:
                 sigma2_sd=1.0,
             )
         params = make_params(8.0, pd=0.65, pf=0.35, n_relays=5, variances=variances)
-        batch = _batch_outage_flags(params, (scheme,), 99, 0)[0]
+        batch = _batch_outage_flags((params,), (scheme,), 99, 0)[0, 0]
         gen = batch_generator(99, 0)
         scalar = [scalar_trial_outage(gen, params, scheme) for _ in range(TRIALS_PER_BATCH)]
         assert np.array_equal(batch, np.asarray(scalar))
@@ -197,9 +219,9 @@ class TestBlockedKernel:
         # other schemes share the draw and in whatever order
         params = _kernel_params(make_params, heterogeneous, n_relays)
         for batch in (0, 1):
-            flags = _batch_outage_flags(params, schemes, 4242, batch)
-            assert flags.shape == (len(schemes), TRIALS_PER_BATCH)
-            for row, scheme in zip(flags, schemes):
+            flags = _batch_outage_flags((params,), schemes, 4242, batch)
+            assert flags.shape == (1, len(schemes), TRIALS_PER_BATCH)
+            for row, scheme in zip(flags[0], schemes):
                 assert np.array_equal(row, whole_batch_outage_flags(params, scheme, 4242, batch))
 
     @kernel_cases
@@ -208,9 +230,9 @@ class TestBlockedKernel:
         params = _kernel_params(make_params, heterogeneous, n_relays)
         whole = [whole_batch_outage_flags(params, s, 4242, 1) for s in schemes]
         for rows in PREFIX_ROWS:
-            flags = _batch_outage_flags(params, schemes, 4242, 1, rows=rows)
-            assert flags.shape == (len(schemes), rows)
-            for row, reference in zip(flags, whole):
+            flags = _batch_outage_flags((params,), schemes, 4242, 1, rows=rows)
+            assert flags.shape == (1, len(schemes), rows)
+            for row, reference in zip(flags[0], whole):
                 assert np.array_equal(row, reference[:rows])
 
     @pytest.mark.parametrize(
@@ -226,9 +248,84 @@ class TestBlockedKernel:
         assert params.posterior().pi1 == pytest.approx(pi1, rel=1e-12, abs=0)
         schemes = tuple(Scheme)
         for rows in (TRIALS_PER_BATCH, 2049):
-            flags = _batch_outage_flags(params, schemes, 99, 0, rows=rows)
-            for row, scheme in zip(flags, schemes):
+            flags = _batch_outage_flags((params,), schemes, 99, 0, rows=rows)
+            for row, scheme in zip(flags[0], schemes):
                 assert np.array_equal(row, whole_batch_outage_flags(params, scheme, 99, 0)[:rows])
+
+
+def _line_points(make_params, heterogeneous, n_relays, gammas_db, **kwargs):
+    """Points of one sweep line: the kernel case's parameters at each gamma_s."""
+    base = _kernel_params(make_params, heterogeneous, n_relays, **kwargs)
+    return tuple(dataclasses.replace(base, gamma_s=db_to_linear(g)) for g in gammas_db)
+
+
+# gamma_s tuples of one sweep line: a single point, and unordered points with
+# a repeated value
+LINE_GAMMAS = [(8.0,), (20.0, 0.0, 8.0, 0.0, -5.0)]
+
+# the same edge cases as test_h1_rows_edge_cases: no H1 row, only H1 rows, a
+# large H1 share
+SENSING = [(1.0, 0.0), (0.0, 0.1), (0.65, 0.35)]
+
+
+class TestSweepLine:
+    @pytest.mark.parametrize("gammas_db", LINE_GAMMAS, ids=["one-point", "repeated"])
+    @pytest.mark.parametrize("pd, pf", SENSING, ids=["no-h1-row", "all-h1-rows", "pd0.65-pf0.35"])
+    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("n_relays", [1, 6, 24])
+    def test_points_match_whole_batch_kernel(
+        self, n_relays, heterogeneous, pd, pf, gammas_db, make_params
+    ):
+        # every point of a line sharing one draw gets exactly the flags of
+        # the oracle at that point alone, for the full batch and two prefixes
+        points = _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
+        schemes = (Scheme.BEST_RELAY, Scheme.DIRECT, Scheme.MULTI_RELAY)
+        whole = [[whole_batch_outage_flags(p, s, 77, 1) for s in schemes] for p in points]
+        for rows in (TRIALS_PER_BATCH, 1, 2049):
+            flags = _batch_outage_flags(points, schemes, 77, 1, rows=rows)
+            assert flags.shape == (len(points), len(schemes), rows)
+            for per_point, reference in zip(flags, whole):
+                for row, ref in zip(per_point, reference):
+                    assert np.array_equal(row, ref[:rows])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_point_tuple_matches_single_point_calls(self, workers, make_params):
+        # 50,000 trials end in a partial batch
+        points = _line_points(make_params, False, 6, (30.0, 0.0, 10.0, 0.0, 5.0), pd=0.65, pf=0.35)
+        schemes = (Scheme.MULTI_RELAY, Scheme.DIRECT, Scheme.BEST_RELAY)
+        fused = estimate_outage(points, schemes, 50_000, 17, workers=workers)
+        assert fused == tuple(estimate_outage(p, schemes, 50_000, 17) for p in points)
+        assert len({e.p_hat for per_point in fused for e in per_point}) > len(schemes)
+        best = estimate_outage(points, Scheme.BEST_RELAY, 50_000, 17, workers=workers)
+        assert best == tuple(per_point[2] for per_point in fused)
+        assert estimate_outage(points[:1], schemes, 50_000, 17, workers=workers) == fused[:1]
+
+    @pytest.mark.parametrize("trials", [50_000, 10**6])
+    def test_line_draws_the_uniforms_of_its_trials_once(self, trials, make_params, drawn_uniforms):
+        # seven points of one line read the same trials: one draw, not seven
+        points = _line_points(make_params, False, 6, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0))
+        estimate_outage(points, tuple(Scheme), trials, 3)
+        assert sum(drawn_uniforms) == trials * (3 * points[0].n_relays + 3)
+
+    @pytest.mark.parametrize(
+        "field, other",
+        [("p0", {"p0": 0.7}), ("pd", {"pd": 0.8}), ("pf", {"pf": 0.2}),
+         ("gamma_p", {"gamma_p_db": 12.0}), ("rate", {"rate": 2.0}),
+         ("n_relays", {"n_relays": 4}), ("variances", {"sigma2_d": 2.0})],
+    )
+    def test_points_differing_beyond_gamma_s_are_refused(self, field, other, make_params):
+        points = (make_params(5.0), make_params(15.0, **other), make_params(25.0))
+        with pytest.raises(ValueError, match=f"differ in {field}"):
+            estimate_outage(points, Scheme.DIRECT, 10**6, 1, workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_bad_point_tuples_are_refused(self, make_params):
+        params = make_params(10.0)
+        for bad, message in (((), "empty"), ((params, "10 dB"), "SystemParams"),
+                             ("10 dB", "SystemParams")):
+            with pytest.raises(ValueError, match=message):
+                estimate_outage(bad, Scheme.DIRECT, 10**6, 1, workers=2)
+        assert not multiprocessing.active_children()
 
 
 # (argument, value) pairs that are not integers, each alone in a call
@@ -337,25 +434,11 @@ class TestEstimator:
         )
 
     @pytest.mark.parametrize("trials", [50_000, 10**6])
-    def test_draws_only_the_uniforms_of_its_trials(self, trials, make_params, monkeypatch):
+    def test_draws_only_the_uniforms_of_its_trials(self, trials, make_params, drawn_uniforms):
         # every trial reads one row of 3N+3 uniforms, and nothing else is drawn
-        drawn = []
-
-        class CountingGenerator:
-            def __init__(self, gen):
-                self.gen = gen
-
-            def random(self, size):
-                drawn.append(math.prod(size))
-                return self.gen.random(size)
-
-        make_generator = montecarlo.batch_generator
-        monkeypatch.setattr(
-            montecarlo, "batch_generator", lambda *key: CountingGenerator(make_generator(*key))
-        )
         params = make_params(10.0)
         estimate_outage(params, tuple(Scheme), trials, 3)
-        assert sum(drawn) == trials * (3 * params.n_relays + 3)
+        assert sum(drawn_uniforms) == trials * (3 * params.n_relays + 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_scheme_tuple_matches_single_scheme_calls(self, workers, make_params):
