@@ -68,8 +68,10 @@ TRIALS_PER_BATCH = 16384
 
 # Rows per kernel block.  Small blocks keep each block's temporaries
 # (2048 x (3N+3) float64, 0.34 MB at N=6) from churning the allocator of a
-# long-lived pool worker.  On the validate-acceptance benchmark, 512 and
-# 4096 rows measured slower and 1024 about the same.
+# long-lived pool worker.  On the validate-acceptance benchmark (seed 1,
+# 6 rounds on 2 cores), wall_s read 0.69 s at 1024 rows, 0.60 s at 2048
+# and 0.58 s at 4096; 4096 won every round but raised peak_rss_mb by 2.6%
+# (103.3 -> 105.9 MB), more than its 4% saving is worth.
 BLOCK_ROWS = 2048
 
 # Upper bound on pool processes; a larger request is refused before any
@@ -118,6 +120,30 @@ def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed & _SEED_MASK, batch_index)))
 
 
+def _column_sum(cols: np.ndarray) -> np.ndarray:
+    """Row sums of the matrix whose columns are `cols` (shape (N, rows)),
+    added column by column in the order ``ndarray.sum(axis=1)`` adds each
+    row, so every sum has the same bits.
+
+    That order is numpy's pairwise summation: fewer than 8 terms are added
+    one after another; 8 or more go to 8 accumulators taking every 8th term,
+    which are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the
+    leftover terms are added one by one.  numpy splits rows of more than
+    128 terms in two first; the kernel's N is at most MAX_RELAYS = 24.
+    ``TestColumnSum`` pins this order against the installed numpy.
+    """
+    n = len(cols)
+    if n < 8:
+        return functools.reduce(np.add, cols)
+    acc = cols[:8].copy()
+    for j in range(8, n - n % 8, 8):
+        acc += cols[j : j + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for col in cols[n - n % 8 :]:
+        total += col
+    return total
+
+
 def _batch_outage_flags(
     points: tuple[SystemParams, ...],
     schemes: tuple[Scheme, ...],
@@ -144,6 +170,14 @@ def _batch_outage_flags(
     The primary's gains (g_pi, g_pd) are transformed on H1 rows only: on H0
     rows alpha*gamma_p*g is exactly 0.0, so the decode threshold is delta
     and the interference factor 1.0, bit for bit.
+
+    The per-point reductions run on whole columns, one relay at a time.
+    The forwarded gains are the mask product g_id * decoded: a gain
+    -mean*log1p(-u) with u in [0, 1) is finite and never -0.0, so the
+    product is the gain itself or +0.0, the bits np.where(decoded, g_id,
+    0.0) gives.  The multi-relay sum adds those columns in the order numpy
+    uses for each row of ``forwarded.sum(axis=1)`` (see ``_column_sum``),
+    so each sum, and with it each flag, has the bits of that row-wise sum.
     """
     first = points[0]
     post = first.posterior()
@@ -175,14 +209,17 @@ def _batch_outage_flags(
             if relayed:
                 decoded = g_si > thr.delta
                 decoded[h1] = g_si_h1 > thr.delta * interference_pi
-                forwarded = np.where(decoded, g_id, 0.0)
+                # the gain where the relay decoded, +0.0 where it did not
+                forwarded = g_id * decoded
                 relay_limit = thr.delta * interference
             for out, scheme in zip(out_point, schemes):
                 if scheme is Scheme.DIRECT:
                     np.less(g_sd, thr.delta_direct * interference, out=out)
                 elif scheme is Scheme.MULTI_RELAY:
-                    # the sum keeps numpy's pairwise order, which sets its bits
-                    np.less(forwarded.sum(axis=1), relay_limit, out=out)
+                    # column by column in numpy's pairwise row order, which
+                    # sets the sum's bits; numpy's own row-wise sum makes one
+                    # short pairwise call per row and is several times slower
+                    np.less(_column_sum(forwarded.T), relay_limit, out=out)
                 else:
                     # column by column: max is exact in any order, and a
                     # row-wise reduction over N columns is several times slower

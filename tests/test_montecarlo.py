@@ -20,6 +20,7 @@ from cogrelay.montecarlo import (
     TRIALS_PER_BATCH,
     OutageEstimate,
     _batch_outage_flags,
+    _column_sum,
     batch_generator,
     estimate_outage,
     exponential_from_uniform,
@@ -212,6 +213,21 @@ def kernel_cases(test):
     return pytest.mark.parametrize("n_relays", [1, 6, 24])(test)
 
 
+class TestColumnSum:
+    # N 1-7 add the columns in turn, 8-24 use the 8 accumulators, with a
+    # leftover unless N is a multiple of 8
+    @pytest.mark.parametrize("n_relays", range(1, 25))
+    @pytest.mark.parametrize("rows", [1, 7, 2048])
+    def test_bits_equal_ndarray_sum(self, n_relays, rows):
+        # the multi-relay flags rest on these bits, so a numpy release that
+        # reorders its row sums fails here before it moves a CSV digest
+        rng = np.random.default_rng(n_relays * rows)
+        forwarded = exponential_from_uniform(rng.random((rows, n_relays)), 1.0)
+        forwarded *= rng.random((rows, n_relays)) < 0.6
+        expected = forwarded.sum(axis=1)
+        assert np.array_equal(_column_sum(forwarded.T).view(np.int64), expected.view(np.int64))
+
+
 class TestBlockedKernel:
     @kernel_cases
     def test_matches_whole_batch_kernel(self, schemes, heterogeneous, n_relays, make_params):
@@ -272,7 +288,8 @@ class TestSweepLine:
     @pytest.mark.parametrize("gammas_db", LINE_GAMMAS, ids=["one-point", "repeated"])
     @pytest.mark.parametrize("pd, pf", SENSING, ids=["no-h1-row", "all-h1-rows", "pd0.65-pf0.35"])
     @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
-    @pytest.mark.parametrize("n_relays", [1, 6, 24])
+    # 8, 9, 12 and 17 are the edges of the multi-relay sum's branches
+    @pytest.mark.parametrize("n_relays", [1, 6, 8, 9, 12, 17, 24])
     def test_points_match_whole_batch_kernel(
         self, n_relays, heterogeneous, pd, pf, gammas_db, make_params
     ):
