@@ -24,7 +24,6 @@ from .specfun import _poisson_cdf_terms, reg_lower_gamma, scaled_upper_gamma_ter
 
 __all__ = [
     "OutageBreakdown",
-    "decoding_cardinality_pmf",
     "outage_best_relay",
     "outage_direct",
     "outage_multi_relay",
@@ -283,16 +282,3 @@ def outage_direct(params: SystemParams) -> OutageBreakdown:
         nonempty_h1=post.pi1 * p_below_h1(thr.delta_direct, v.sigma2_sd, v.sigma2_pd, params.gamma_p),
     )
 
-
-def decoding_cardinality_pmf(params: SystemParams) -> tuple[float, ...]:
-    """Distribution of the decoding-set size given a declared hole.
-
-    Entry k is the probability that exactly k relays decode the first hop,
-    mixing the interference-free and interfered cases by the sensing
-    posterior.  Sums to 1.
-    """
-    post = params.posterior()
-    f0, f1 = _first_hop_failures(params, params.snr_threshold().delta)
-    w0 = _cardinality_pmf(f0)
-    w1 = _cardinality_pmf(f1)
-    return tuple(post.pi0 * a + post.pi1 * b for a, b in zip(w0, w1))

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 
 from .analytic import OutageBreakdown, outage_best_relay, outage_direct, outage_multi_relay
@@ -30,7 +29,7 @@ from .model import (
     db_to_linear,
     snr_threshold,
 )
-from .montecarlo import MAX_WORKERS, OutageEstimate, estimate_outage, shutdown_pool
+from .montecarlo import MAX_WORKERS, OutageEstimate, estimate_outage
 
 __all__ = [
     "CSV_HEADER",
@@ -285,12 +284,8 @@ def _params_at(spec: SweepSpec, pd: float, pf: float, n: int, gamma_s_db: float)
     else:
         # build_spec only allows per-relay lists with a single relay count,
         # so any other N here is guaranteed homogeneous
-        variances = ChannelVariances(
-            sigma2_si=(v.sigma2_si[0],) * n,
-            sigma2_pi=(v.sigma2_pi[0],) * n,
-            sigma2_d=v.sigma2_d,
-            sigma2_pd=v.sigma2_pd,
-            sigma2_sd=v.sigma2_sd,
+        variances = ChannelVariances.homogeneous(
+            n, v.sigma2_si[0], v.sigma2_pi[0], v.sigma2_d, v.sigma2_pd, v.sigma2_sd
         )
     return replace(
         base,
@@ -357,51 +352,35 @@ class SweepRow:
 def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
     """Yield one SweepRow per grid point, in emission order.
 
-    Every (pd, pf, N) line gets the Monte Carlo estimates of all its gamma_s
-    points, for all of spec.schemes, from one estimate_outage call, made at
-    the line's first row: the points share every draw and transform of the
-    call's batches.  The line's later rows take theirs from that call, which
-    is dropped after the line's last row.  The sweep's calls share one
-    worker pool, which is shut down when the rows run out or the generator
-    is closed."""
+    Before the first row, one estimate_outage call takes every distinct
+    (pd, pf, N, gamma_s) point of the grid, for all of spec.schemes; the
+    rows look their estimates up in its result.  That call decides which
+    points share draws and starts and stops its own worker pool, so no
+    worker is alive when a row is yielded.  A sweep with trials = 0 makes
+    no call."""
     points = sweep_points(spec)
-    # the distinct gamma_s values, in emission order
-    line_gammas = sorted(set(spec.gamma_s_db))
-    # rows still to come per line, counted only when points carry estimates
-    rows_left = Counter(p[1:4] for p in points) if spec.trials > 0 else None
-    estimates: dict[tuple[float, float, int], dict[tuple[float, Scheme], OutageEstimate]] = {}
-    try:
-        for scheme, pd, pf, n, g in points:
-            params = _params_at(spec, pd, pf, n, g)
-            total = analytic_outage(params, scheme).total
-            est = None
-            if spec.trials > 0:
-                line = (pd, pf, n)
-                if line not in estimates:
-                    fused = estimate_outage(
-                        tuple(_params_at(spec, pd, pf, n, x) for x in line_gammas),
-                        spec.schemes, spec.trials, spec.seed, workers=workers,
-                    )
-                    estimates[line] = {
-                        (x, s): e
-                        for x, per_scheme in zip(line_gammas, fused)
-                        for s, e in zip(spec.schemes, per_scheme)
-                    }
-                est = estimates[line][g, scheme]
-                rows_left[line] -= 1
-                if not rows_left[line]:
-                    del estimates[line]
-            yield SweepRow(
-                scheme=scheme,
-                n_relays=n,
-                pd=pd,
-                pf=pf,
-                gamma_s_db=g,
-                analytic_outage=total,
-                estimate=est,
-            )
-    finally:
-        shutdown_pool()
+    estimates: dict[tuple, OutageEstimate] = {}
+    if spec.trials > 0:
+        # the distinct grid points, in emission order
+        grid = tuple(dict.fromkeys(p[1:] for p in points))
+        fused = estimate_outage(
+            tuple(_params_at(spec, *q) for q in grid),
+            spec.schemes, spec.trials, spec.seed, workers=workers,
+        )
+        estimates = {
+            (s, *q): e for q, per_scheme in zip(grid, fused) for s, e in zip(spec.schemes, per_scheme)
+        }
+    for point in points:
+        scheme, pd, pf, n, g = point
+        yield SweepRow(
+            scheme=scheme,
+            n_relays=n,
+            pd=pd,
+            pf=pf,
+            gamma_s_db=g,
+            analytic_outage=analytic_outage(_params_at(spec, pd, pf, n, g), scheme).total,
+            estimate=estimates.get(point),
+        )
 
 
 def run_sweep(spec: SweepSpec, out, workers: int = 1) -> int:
@@ -639,12 +618,7 @@ def _cmd_simulate(spec: SweepSpec, args, out) -> int:
     params = _params_at(spec, pd, pf, n, g)
     print(f"# operating point: gamma_s={g:g} dB, pd={pd:g}, pf={pf:g}, N={n}", file=out)
     print(f"# {RATE_CONVENTION_NOTE}", file=out)
-    try:
-        estimates = estimate_outage(
-            params, spec.schemes, spec.trials, spec.seed, workers=args.workers
-        )
-    finally:
-        shutdown_pool()
+    estimates = estimate_outage(params, spec.schemes, spec.trials, spec.seed, workers=args.workers)
     for scheme, est in zip(spec.schemes, estimates):
         print(
             f"{scheme.value:>6}: p_hat={est.p_hat:.10g}  stderr={est.stderr:.10g}  "

@@ -27,20 +27,18 @@ sweep line: the uniforms depend on the seed, the batch and the row width
 3N+3 only, and no variance depends on gamma_s, so such points share every
 gain and differ only in their thresholds delta and delta_direct (common
 random numbers).  The kernel therefore draws and transforms each block once
-and emits flags for every requested point and scheme from that one draw;
-``estimate_outage`` with a tuple of points or of schemes returns one entry
-per point or scheme from one pass over the batches.  A point's flags for a
-scheme do not depend on which other points or schemes were requested with
-it.
+and emits flags for every requested point and scheme from that one draw.
+``estimate_outage`` takes any tuple of points, groups those that differ
+only in gamma_s into lines, and runs one pass over the batches per line; a
+point's flags for a scheme do not depend on which other points or schemes
+were requested with it.
 
-Worker pool: ``estimate_outage`` with workers > 1 hands batches to one
-process pool, started at the first pooled batch and reused by every later
-call with the same worker count (another count replaces it).  The pool
-outlives the call; ``shutdown_pool`` stops it and reaps its processes.  The
-CLI calls it when a sweep or a simulate run ends, so no worker outlives one.
-The worker count is capped at MAX_WORKERS, checked before any pool exists.
-The pool is module state, so pooled calls must come from one thread at a
-time.
+Worker pool: with workers > 1, ``estimate_outage`` starts a process pool of
+at most `workers` processes (no more than it has batches), hands it the
+batches of every line in one map, and shuts it down, cancelling what is
+still queued, before it returns, raises or is interrupted.  No worker
+outlives the call, and calls share no pool or other module state.  The
+worker count is capped at MAX_WORKERS, checked before any pool starts.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +59,6 @@ __all__ = [
     "estimate_outage",
     "exponential_from_uniform",
     "outage_flags",
-    "shutdown_pool",
 ]
 
 TRIALS_PER_BATCH = 16384
@@ -154,7 +151,7 @@ def _batch_outage_flags(
     """Outage flags for the first `rows` trials of one batch: flags[p, s]
     holds point p's flags for scheme s, in the orders given.
 
-    The points differ only in gamma_s (``_requested_points`` checks that),
+    The points differ only in gamma_s (``estimate_outage`` groups them so),
     so they read the same uniforms and gains; only their thresholds differ.
 
     Column r holds trial batch_index*TRIALS_PER_BATCH + r.  The uniform
@@ -270,35 +267,16 @@ def outage_flags(
     return out
 
 
-# The pool that estimate_outage reuses across calls, and its worker count;
-# started at the first pooled batch, ended by shutdown_pool.
-_pool: ProcessPoolExecutor | None = None
-_pool_workers = 0
-
-
-def shutdown_pool() -> None:
-    """Stop the worker pool kept by ``estimate_outage`` and reap its
-    processes; the next pooled call starts a new one.  No-op without a pool."""
-    global _pool, _pool_workers
-    pool, _pool, _pool_workers = _pool, None, 0
-    if pool is not None:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _pooled_counts(tasks: list, workers: int) -> list[np.ndarray]:
-    global _pool, _pool_workers
-    if workers != _pool_workers:
-        shutdown_pool()
-        _pool = ProcessPoolExecutor(max_workers=workers)
-        _pool_workers = workers
+    """Every task's counts, in order, from a pool that lives only in this call."""
     chunk = max(1, len(tasks) // (4 * workers))
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(_pool.map(_batch_outage_count, tasks, chunksize=chunk))
-    except BaseException:
-        # a failed or interrupted map may leave tasks queued or a worker
-        # dead; drop the pool rather than hand it to the next call
-        shutdown_pool()
-        raise
+        return list(pool.map(_batch_outage_count, tasks, chunksize=chunk))
+    finally:
+        # a failed or interrupted map may leave tasks queued: drop them, and
+        # wait until every worker has exited
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _requested_schemes(scheme) -> tuple[Scheme, ...]:
@@ -313,10 +291,6 @@ def _requested_schemes(scheme) -> tuple[Scheme, ...]:
     return schemes
 
 
-# the SystemParams fields that every point of one call must share
-_SHARED_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name != "gamma_s")
-
-
 def _requested_points(params) -> tuple[SystemParams, ...]:
     points = params if isinstance(params, tuple) else (params,)
     if not points:
@@ -324,9 +298,6 @@ def _requested_points(params) -> tuple[SystemParams, ...]:
     for p in points:
         if not isinstance(p, SystemParams):
             raise ValueError(f"params must be SystemParams, got {p!r}")
-    for name in _SHARED_FIELDS:
-        if any(getattr(p, name) != getattr(points[0], name) for p in points[1:]):
-            raise ValueError(f"params tuple: points differ in {name}; only gamma_s may vary")
     return points
 
 
@@ -341,21 +312,22 @@ def estimate_outage(
 
     `scheme` is one Scheme, which gives one OutageEstimate, or a tuple of
     distinct schemes, which gives one estimate per scheme in the same order.
-    `params` is one SystemParams, or a tuple of points that differ only in
-    gamma_s, which returns one entry per point in the same order.  Every
-    point and scheme reads the same trials, so all of them come from one
-    pass over the batches: one draw and one transform of each block.  Each
-    entry equals what a call with that point alone returns, and each
-    estimate what a call for that scheme alone returns.
+    `params` is one SystemParams, or a tuple of points, which returns one
+    entry per point in the same order; points may repeat.  Points that
+    differ only in gamma_s form one line: they read the same trials, so the
+    call serves each line from one pass over its batches, one draw and one
+    transform of each block.  Each entry equals what a call with that point
+    alone returns, and each estimate what a call for that scheme alone
+    returns.
 
-    With workers > 1, batches are distributed across the shared pool of
-    `workers` processes (see the module docstring for its lifetime);
-    per-batch outage counts are integers, so the total is exactly the same
-    whatever the worker count or scheduling order.  `trials`, `seed` and
-    `workers` must be integers (not bools), `trials` >= 1 and `workers` in
-    [1, MAX_WORKERS]; a bad value, an empty or mixed tuple of points, or
-    points differing in anything but gamma_s raises ValueError before any
-    pool starts.
+    With workers > 1, the batches of every line go to one process pool that
+    the call starts and shuts down (see the module docstring); per-batch
+    outage counts are integers, so the total is exactly the same whatever
+    the worker count or scheduling order.  `trials`, `seed` and `workers`
+    must be integers (not bools), `trials` >= 1 and `workers` in
+    [1, MAX_WORKERS]; a bad value, or a tuple of points that is empty or
+    holds anything but SystemParams, raises ValueError before any pool
+    starts.
     """
     points = _requested_points(params)
     schemes = _requested_schemes(scheme)
@@ -366,15 +338,26 @@ def estimate_outage(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    tasks = list(_batch_tasks(points, schemes, trials, seed))
-    if workers == 1 or len(tasks) == 1:
+    # the indices of each line's points, keyed by the point with gamma_s set aside
+    lines: dict[SystemParams, list[int]] = {}
+    for i, p in enumerate(points):
+        lines.setdefault(replace(p, gamma_s=1.0), []).append(i)
+    tasks = [
+        task
+        for line in lines.values()
+        for task in _batch_tasks(tuple(points[i] for i in line), schemes, trials, seed)
+    ]
+    workers = min(workers, len(tasks))
+    if workers == 1:
         counts = [_batch_outage_count(t) for t in tasks]
     else:
         counts = _pooled_counts(tasks, workers)
-    estimates = [
-        tuple(OutageEstimate.from_count(int(c), trials, seed) for c in per_point)
-        for per_point in np.sum(counts, axis=0)
-    ]
+    # the tasks come line by line, the same number of batches for each line
+    batches = len(tasks) // len(lines)
+    estimates = [None] * len(points)
+    for k, line in enumerate(lines.values()):
+        for i, per_scheme in zip(line, np.sum(counts[k * batches : (k + 1) * batches], axis=0)):
+            estimates[i] = tuple(OutageEstimate.from_count(int(c), trials, seed) for c in per_scheme)
     if not isinstance(scheme, tuple):
-        estimates = [per_point[0] for per_point in estimates]
+        estimates = [per_scheme[0] for per_scheme in estimates]
     return tuple(estimates) if isinstance(params, tuple) else estimates[0]

@@ -1,6 +1,16 @@
+import multiprocessing
+
 import pytest
 
 from cogrelay.model import ChannelVariances, SystemParams, db_to_linear
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_a_test():
+    # estimate_outage starts and stops its own pool: whatever a test does,
+    # no worker process may be left when it ends
+    yield
+    assert not multiprocessing.active_children()
 
 
 @pytest.fixture

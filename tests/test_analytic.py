@@ -7,7 +7,8 @@ from scipy import integrate
 
 from cogrelay.analytic import (
     OutageBreakdown,
-    decoding_cardinality_pmf,
+    _cardinality_pmf,
+    _first_hop_failures,
     outage_best_relay,
     outage_direct,
     outage_multi_relay,
@@ -425,15 +426,23 @@ class TestDirectOutage:
         assert total == pytest.approx(emp, abs=mc_tolerance(total, 2_000_000))
 
 
+def cardinality_pmf(params):
+    """Decoding-set size distribution given a declared hole: the pmfs of the
+    interference-free and interfered first hops, mixed by the posterior."""
+    post = params.posterior()
+    f0, f1 = _first_hop_failures(params, params.snr_threshold().delta)
+    return [post.pi0 * a + post.pi1 * b for a, b in zip(_cardinality_pmf(f0), _cardinality_pmf(f1))]
+
+
 class TestDecodingCardinalityPmf:
     def test_sums_to_one(self, make_params):
-        pmf = decoding_cardinality_pmf(make_params(10.0))
+        pmf = cardinality_pmf(make_params(10.0))
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
         assert all(p >= 0.0 for p in pmf)
 
     def test_matches_enumeration(self, make_params):
         params = make_params(6.0, n_relays=5)
-        fast = decoding_cardinality_pmf(params)
+        fast = cardinality_pmf(params)
         ref = enumerated_cardinality_pmf(params)
         assert fast == pytest.approx(ref, abs=1e-12)
 
@@ -446,7 +455,7 @@ class TestDecodingCardinalityPmf:
                 n_relays=n,
                 variances=random_variances(rng, n),
             )
-            pmf = decoding_cardinality_pmf(params)
+            pmf = cardinality_pmf(params)
             ref = enumerated_cardinality_pmf(params)
             assert len(pmf) == n + 1
             for got, want in zip(pmf, ref):
@@ -454,14 +463,14 @@ class TestDecodingCardinalityPmf:
 
     def test_mixed_groups_match_enumeration(self, make_params):
         params = make_params(6.0, n_relays=7, variances=MIXED_VARIANCES)
-        for got, want in zip(decoding_cardinality_pmf(params), enumerated_cardinality_pmf(params)):
+        for got, want in zip(cardinality_pmf(params), enumerated_cardinality_pmf(params)):
             assert_rel_close(got, want)
 
     def test_large_heterogeneous_sums_to_one(self, make_params):
         # far beyond what subset enumeration could reach
         n = 24
         params = make_params(5.0, n_relays=n, variances=random_variances(np.random.default_rng(8), n))
-        pmf = decoding_cardinality_pmf(params)
+        pmf = cardinality_pmf(params)
         assert len(pmf) == n + 1
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
         assert all(p >= 0.0 for p in pmf)
@@ -469,7 +478,7 @@ class TestDecodingCardinalityPmf:
     def test_two_relay_binomial_by_hand(self, make_params):
         params = make_params(10.0, pd=1.0, pf=0.0, n_relays=2)
         q = p_below_h0(0.3, 1.0)
-        pmf = decoding_cardinality_pmf(params)
+        pmf = cardinality_pmf(params)
         assert pmf[0] == pytest.approx(q * q, rel=1e-12)
         assert pmf[1] == pytest.approx(2 * q * (1 - q), rel=1e-12)
         assert pmf[2] == pytest.approx((1 - q) * (1 - q), rel=1e-12)

@@ -3,7 +3,6 @@ import re
 from pathlib import Path
 
 import cogrelay
-from cogrelay.montecarlo import shutdown_pool
 
 PUBLIC_API = {
     "MAX_RELAYS",
@@ -48,8 +47,5 @@ def test_readme_library_example_uses_the_public_api_and_runs():
     }
     assert imported and imported <= PUBLIC_API
     namespace = {}
-    try:
-        exec(compile(code, str(README), "exec"), namespace)
-    finally:
-        shutdown_pool()
+    exec(compile(code, str(README), "exec"), namespace)
     assert 0.0 < namespace["closed"].total < 1.0

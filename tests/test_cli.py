@@ -147,10 +147,10 @@ class TestSweep:
         outputs = {sweep_csv(build_spec(cfg), workers=w) for w in (1, 4)}
         assert len(outputs) == 1
 
-    def test_one_estimate_call_per_line(self, monkeypatch):
-        # one call per (pd, pf, N) line, made at its first row, carries the
-        # line's distinct gamma_s points and every scheme; the repeated 10 dB
-        # value is one point, so its rows in every scheme repeat one estimate
+    def test_one_estimate_call_per_sweep(self, monkeypatch):
+        # one call, made before the first row, carries every distinct grid
+        # point once and every scheme; the repeated 10 dB value is one point,
+        # so its rows in every scheme repeat one estimate
         from cogrelay import cli
 
         calls = []
@@ -168,16 +168,36 @@ class TestSweep:
         first = next(rows)
         assert len(calls) == 1
         rows = [first, *rows]
+        assert len(calls) == 1
         assert len(rows) == 3 * 2 * 2 * 3
-        lines = list(dict.fromkeys((r.pd, r.pf, r.n_relays) for r in rows))
-        assert len(calls) == len(lines) == 2 * 2
-        for (params, scheme), (pd, pf, n) in zip(calls, lines):
-            assert scheme == spec.schemes
-            assert [p.gamma_s for p in params] == [db_to_linear(5.0), db_to_linear(10.0)]
-            assert {(p.pd, p.pf, p.n_relays) for p in params} == {(pd, pf, n)}
+        [(params, scheme)] = calls
+        assert scheme == spec.schemes
+        grid = {(r.pd, r.pf, r.n_relays, db_to_linear(r.gamma_s_db)) for r in rows}
+        assert len(params) == len(grid) == 2 * 2 * 2
+        assert {(p.pd, p.pf, p.n_relays, p.gamma_s) for p in params} == grid
         for a, b in zip(rows[1::3], rows[2::3]):
             assert a.gamma_s_db == b.gamma_s_db == 10.0
             assert a == b
+
+    def test_analytic_sweep_makes_no_estimate_call(self, monkeypatch):
+        # trials = 0: no call, and no SystemParams built ahead of a row
+        from cogrelay import cli
+
+        built, calls = [], []
+        real = cli._params_at
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_params_at", counting)
+        monkeypatch.setattr(cli, "estimate_outage", lambda *args, **kwargs: calls.append(args))
+        spec = build_spec({**STUDY_CONFIG, "trials": 0})
+        rows = iter_sweep_rows(spec)
+        next(rows)
+        assert len(built) == 1
+        assert 1 + len(list(rows)) == len(built) == 3 * 2 * 7
+        assert not calls
 
     def test_scheme_subset_rows_equal_full_sweep_rows(self):
         # an estimate never depends on which other schemes were requested

@@ -9,7 +9,8 @@ import pytest
 
 from cogrelay import montecarlo
 from cogrelay.analytic import (
-    decoding_cardinality_pmf,
+    _cardinality_pmf,
+    _first_hop_failures,
     outage_multi_relay,
     p_sum_below_h0,
 )
@@ -25,17 +26,8 @@ from cogrelay.montecarlo import (
     estimate_outage,
     exponential_from_uniform,
     outage_flags,
-    shutdown_pool,
 )
 from oracle import decoded_relays, scalar_trial_outage, whole_batch_outage_flags
-
-
-@pytest.fixture(autouse=True)
-def _reap_pool():
-    # estimate_outage keeps its pool between calls by design; tests calling
-    # it directly must not hand their workers to the next test
-    yield
-    shutdown_pool()
 
 
 @pytest.fixture
@@ -317,24 +309,33 @@ class TestSweepLine:
         assert best == tuple(per_point[2] for per_point in fused)
         assert estimate_outage(points[:1], schemes, 50_000, 17, workers=workers) == fused[:1]
 
+    @pytest.mark.parametrize("relay_counts", [(6,), (4, 6)], ids=["one-line", "two-lines"])
     @pytest.mark.parametrize("trials", [50_000, 10**6])
-    def test_line_draws_the_uniforms_of_its_trials_once(self, trials, make_params, drawn_uniforms):
-        # seven points of one line read the same trials: one draw, not seven
-        points = _line_points(make_params, False, 6, (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0))
+    def test_line_draws_the_uniforms_of_its_trials_once(
+        self, trials, relay_counts, make_params, drawn_uniforms
+    ):
+        # the seven points of a line read the same trials: one draw per line,
+        # not seven, also when the points of two lines come interleaved
+        gammas_db = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+        points = tuple(make_params(g, n_relays=n) for g in gammas_db for n in relay_counts)
         estimate_outage(points, tuple(Scheme), trials, 3)
-        assert sum(drawn_uniforms) == trials * (3 * points[0].n_relays + 3)
+        assert sum(drawn_uniforms) == sum(trials * (3 * n + 3) for n in relay_counts)
 
     @pytest.mark.parametrize(
-        "field, other",
-        [("p0", {"p0": 0.7}), ("pd", {"pd": 0.8}), ("pf", {"pf": 0.2}),
-         ("gamma_p", {"gamma_p_db": 12.0}), ("rate", {"rate": 2.0}),
-         ("n_relays", {"n_relays": 4}), ("variances", {"sigma2_d": 2.0})],
+        "scheme", [Scheme.BEST_RELAY, tuple(Scheme)], ids=["one-scheme", "all-schemes"]
     )
-    def test_points_differing_beyond_gamma_s_are_refused(self, field, other, make_params):
-        points = (make_params(5.0), make_params(15.0, **other), make_params(25.0))
-        with pytest.raises(ValueError, match=f"differ in {field}"):
-            estimate_outage(points, Scheme.DIRECT, 10**6, 1, workers=2)
-        assert not multiprocessing.active_children()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_of_several_lines_match_single_point_calls(self, workers, scheme, make_params):
+        # four lines (pd 0.9 and 0.8, N = 4 and 6), interleaved, and one
+        # point repeated; 50,000 trials end in a partial batch
+        points = tuple(
+            make_params(g, pd=pd, n_relays=n)
+            for g in (25.0, 5.0) for n in (6, 4) for pd in (0.9, 0.8)
+        )
+        points += (points[3],)
+        fused = estimate_outage(points, scheme, 50_000, 17, workers=workers)
+        assert fused == tuple(estimate_outage(p, scheme, 50_000, 17) for p in points)
+        assert fused[-1] == fused[3]
 
     def test_bad_point_tuples_are_refused(self, make_params):
         params = make_params(10.0)
@@ -362,18 +363,11 @@ class TestEstimator:
         assert est.trials == 1
 
     def test_worker_count_does_not_change_estimate(self, make_params):
-        # the second call reuses the first call's pool, later counts replace it
         params = make_params(5.0)
         trials = 50_000
         base = estimate_outage(params, Scheme.MULTI_RELAY, trials, 11, workers=1)
-        pids = []
-        for workers in (2, 2, 3, 8):
-            est = estimate_outage(params, Scheme.MULTI_RELAY, trials, 11, workers=workers)
-            assert est == base
-            pids.append({p.pid for p in multiprocessing.active_children()})
-            assert len(pids[-1]) == workers
-        assert pids[0] == pids[1]
-        assert pids[1].isdisjoint(pids[2])
+        for workers in (2, 3, 8):
+            assert estimate_outage(params, Scheme.MULTI_RELAY, trials, 11, workers=workers) == base
 
     def test_longer_run_extends_shorter_one(self, make_params):
         params = make_params(8.0)
@@ -473,8 +467,8 @@ class TestWorkerPool:
             "gamma_s_db": [5.0, 15.0], "trials": 40_000, "seed": 3}
 
     def test_sweep_matches_one_worker_and_reaps_its_workers(self):
-        # within every scheme the sweep moves from N=4 to N=6, so the pool's
-        # workers run batches of both widths in turn
+        # the sweep's one call holds the N=4 and N=6 lines, so the pool's
+        # workers run batches of both widths in one map
         spec = build_spec(self.SPEC)
         outputs = []
         for workers in (1, 2):
@@ -486,16 +480,27 @@ class TestWorkerPool:
         assert outputs[0] == outputs[1]
 
     def test_closing_a_sweep_early_reaps_its_workers(self):
+        # every estimate is in before the first row, and its pool is gone
         rows = iter_sweep_rows(build_spec(self.SPEC), workers=2)
         next(rows)
-        assert len(multiprocessing.active_children()) == 2
+        assert not multiprocessing.active_children()
         rows.close()
+        assert not multiprocessing.active_children()
+
+    def test_interrupted_map_reaps_its_workers(self, make_params, monkeypatch):
+        class InterruptedPool(montecarlo.ProcessPoolExecutor):
+            def map(self, *args, **kwargs):
+                results = super().map(*args, **kwargs)
+                next(results)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InterruptedPool)
+        with pytest.raises(KeyboardInterrupt):
+            estimate_outage(make_params(5.0), Scheme.DIRECT, 10**6, 1, workers=2)
         assert not multiprocessing.active_children()
 
     def test_failed_map_drops_the_pool(self, make_params, monkeypatch):
         params = make_params(5.0)
-        estimate_outage(params, Scheme.DIRECT, 50_000, 1, workers=2)
-        assert len(multiprocessing.active_children()) == 2
         # int(task) raises TypeError inside the worker
         monkeypatch.setattr(montecarlo, "_batch_outage_count", int)
         with pytest.raises(TypeError):
@@ -521,9 +526,11 @@ class TestDecodingSetDistribution:
         # independent sample-path draw straight from numpy, compared to the
         # grouped closed-form pmf
         params = make_params(10.0)
-        pmf = decoding_cardinality_pmf(params)
         post = params.posterior()
         thr = params.snr_threshold()
+        f0, f1 = _first_hop_failures(params, thr.delta)
+        pmf0, pmf1 = _cardinality_pmf(f0), _cardinality_pmf(f1)
+        pmf = [post.pi0 * a + post.pi1 * b for a, b in zip(pmf0, pmf1)]
         n, trials = params.n_relays, 10**6
         rng = np.random.default_rng(2468)
         alpha = (rng.random(trials) < post.pi1).astype(float)
