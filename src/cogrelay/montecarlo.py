@@ -33,6 +33,15 @@ only in gamma_s into lines, and runs one pass over the batches per line; a
 point's flags for a scheme do not depend on which other points or schemes
 were requested with it.
 
+Within a line, outage only shrinks as gamma_s grows, trial by trial and in
+floating point, not just in probability: the threshold delta falls, and
+every rounded step of the relay tests (the products delta*s, the forwarded
+gains g or +0.0, their fixed-order sum or exact max) is monotone in delta.
+So the kernel runs each block's relay tests from the largest delta down
+and stops at the first point where no trial of the block is in relay
+outage; the points above it keep "no outage" for that block, which is what
+testing them would give (see ``_batch_outage_flags``).
+
 Worker pool: with workers > 1, ``estimate_outage`` starts a process pool of
 at most `workers` processes (no more than it has batches), hands it the
 batches of every line in one map, and shuts it down, cancelling what is
@@ -66,9 +75,10 @@ TRIALS_PER_BATCH = 16384
 # Rows per kernel block.  Small blocks keep each block's temporaries
 # (2048 x (3N+3) float64, 0.34 MB at N=6) from churning the allocator of a
 # long-lived pool worker.  On the validate-acceptance benchmark (seed 1,
-# 6 rounds on 2 cores), wall_s read 0.69 s at 1024 rows, 0.60 s at 2048
-# and 0.58 s at 4096; 4096 won every round but raised peak_rss_mb by 2.6%
-# (103.3 -> 105.9 MB), more than its 4% saving is worth.
+# 10 alternating pairs against 2048 rows on 2 cores), wall_s read 0.547 s
+# at 1024 rows against 0.470 s (1024 faster in 1 of 10 pairs) and 0.505 s
+# at 4096 against 0.528 s (4096 faster in 8 of 10); 4096 also raised
+# peak_rss_mb by 3.0% (103.7 -> 106.8 MB), more than its 4% saving is worth.
 BLOCK_ROWS = 2048
 
 # Upper bound on pool processes; a larger request is refused before any
@@ -107,9 +117,14 @@ class OutageEstimate:
         )
 
 
-def exponential_from_uniform(u, mean):
-    """Inverse-CDF map: u in [0,1) -> -mean*ln(1-u).  Elementwise on arrays."""
-    return -mean * np.log1p(-u)
+def exponential_from_uniform(u, mean, out=None):
+    """Inverse-CDF map: u in [0,1) -> -mean*ln(1-u).  Elementwise on arrays.
+
+    With `out` (which may be `u` itself) the result is written there, with
+    the same bits as the default path.
+    """
+    x = np.log1p(np.negative(u, out=out), out=out)
+    return np.multiply(-mean, x, out=out)
 
 
 def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
@@ -168,60 +183,84 @@ def _batch_outage_flags(
     rows alpha*gamma_p*g is exactly 0.0, so the decode threshold is delta
     and the interference factor 1.0, bit for bit.
 
-    The per-point reductions run on whole columns, one relay at a time.
-    The forwarded gains are the mask product g_id * decoded: a gain
-    -mean*log1p(-u) with u in [0, 1) is finite and never -0.0, so the
-    product is the gain itself or +0.0, the bits np.where(decoded, g_id,
-    0.0) gives.  The multi-relay sum adds those columns in the order numpy
-    uses for each row of ``forwarded.sum(axis=1)`` (see ``_column_sum``),
-    so each sum, and with it each flag, has the bits of that row-wise sum.
+    The relay gains are held relay-major: each block's g_si and g_id
+    columns are copied once into contiguous (N, rows) arrays and
+    transformed in place, so the per-point decode, mask product, sum and
+    max run on contiguous rows, one relay at a time.  The forwarded gains
+    are the mask product g_id * decoded: a gain -mean*log1p(-u) with u in
+    [0, 1) is finite and never -0.0, so the product is the gain itself or
+    +0.0, the bits np.where(decoded, g_id, 0.0) gives.  The multi-relay sum
+    adds the relays in the order numpy uses for each row of
+    ``forwarded.sum(axis=1)`` on the trial-major matrix (see
+    ``_column_sum``), so each sum, and with it each flag, has the bits of
+    that row-wise sum; the max is exact in any order.
+
+    Early stop: the relay tests visit a block's points from the largest
+    delta (the lowest gamma_s) down, and stop after the first point at
+    which no trial of the block is in outage for any requested relay
+    scheme; the remaining points keep the zero-initialised False.  This
+    cannot change a flag, because every step is monotone in delta under
+    IEEE rounding: fl(delta*s) never decreases as delta grows, so a smaller
+    delta decodes a superset of relays; each forwarded gain is g or +0.0,
+    so none decreases; a fixed-order float sum of non-negative terms is
+    monotone in each term and the max is exact, so the combined gain does
+    not decrease; and the limit fl(delta*I) does not increase.  So a trial
+    in relay outage at a smaller delta is in outage at every larger one,
+    and a block with none at some delta has none below it.  Direct flags
+    are computed for every point.
     """
     first = points[0]
     post = first.posterior()
     thresholds = [p.snr_threshold() for p in points]
+    by_delta = sorted(range(len(points)), key=lambda i: thresholds[i].delta, reverse=True)
     n = first.n_relays
     v = first.variances
     gamma_p = first.gamma_p
-    sigma2_si = np.asarray(v.sigma2_si)
-    sigma2_pi = np.asarray(v.sigma2_pi)
-    relayed = any(s is not Scheme.DIRECT for s in schemes)
-    direct = Scheme.DIRECT in schemes
+    sigma2_si = np.asarray(v.sigma2_si)[:, None]
+    sigma2_pi = np.asarray(v.sigma2_pi)[:, None]
+    relay_schemes = [(k, s) for k, s in enumerate(schemes) if s is not Scheme.DIRECT]
     gen = batch_generator(seed, batch_index)
-    flags = np.empty((len(points), len(schemes), rows), dtype=bool)
+    flags = np.zeros((len(points), len(schemes), rows), dtype=bool)
     for start in range(0, rows, BLOCK_ROWS):
         u = gen.random((min(BLOCK_ROWS, rows - start), 3 * n + 3))
+        block = slice(start, start + len(u))
         h1 = np.flatnonzero(u[:, 0] < post.pi1)
         interference = np.ones(len(u))
         g_pd = exponential_from_uniform(u[h1, 3 * n + 1], v.sigma2_pd)
         interference[h1] = gamma_p * g_pd + 1.0
-        if relayed:
-            g_si = exponential_from_uniform(u[:, 1 : n + 1], sigma2_si)
-            g_si_h1 = g_si[h1]
-            g_pi = exponential_from_uniform(u[h1, n + 1 : 2 * n + 1], sigma2_pi)
-            interference_pi = gamma_p * g_pi + 1.0
-            g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
-        if direct:
+        if Scheme.DIRECT in schemes:
             g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
-        for thr, out_point in zip(thresholds, flags[:, :, start : start + BLOCK_ROWS]):
-            if relayed:
-                decoded = g_si > thr.delta
-                decoded[h1] = g_si_h1 > thr.delta * interference_pi
-                # the gain where the relay decoded, +0.0 where it did not
-                forwarded = g_id * decoded
-                relay_limit = thr.delta * interference
-            for out, scheme in zip(out_point, schemes):
-                if scheme is Scheme.DIRECT:
-                    np.less(g_sd, thr.delta_direct * interference, out=out)
-                elif scheme is Scheme.MULTI_RELAY:
-                    # column by column in numpy's pairwise row order, which
-                    # sets the sum's bits; numpy's own row-wise sum makes one
-                    # short pairwise call per row and is several times slower
-                    np.less(_column_sum(forwarded.T), relay_limit, out=out)
+            for thr, out in zip(thresholds, flags[:, schemes.index(Scheme.DIRECT), block]):
+                np.less(g_sd, thr.delta_direct * interference, out=out)
+        if not relay_schemes:
+            continue
+        # relay-major: row i holds relay i's gains over the block's trials
+        g_si = np.ascontiguousarray(u[:, 1 : n + 1].T)
+        exponential_from_uniform(g_si, sigma2_si, out=g_si)
+        g_id = np.ascontiguousarray(u[:, 2 * n + 1 : 3 * n + 1].T)
+        exponential_from_uniform(g_id, v.sigma2_d, out=g_id)
+        g_si_h1 = g_si[:, h1]
+        g_pi = u[:, n + 1 : 2 * n + 1].T[:, h1]
+        interference_pi = gamma_p * exponential_from_uniform(g_pi, sigma2_pi, out=g_pi) + 1.0
+        for i in by_delta:
+            delta = thresholds[i].delta
+            decoded = g_si > delta
+            decoded[:, h1] = g_si_h1 > delta * interference_pi
+            # the gain where the relay decoded, +0.0 where it did not
+            forwarded = g_id * decoded
+            relay_limit = delta * interference
+            for k, scheme in relay_schemes:
+                if scheme is Scheme.MULTI_RELAY:
+                    # relay by relay in numpy's pairwise row order, which sets
+                    # the sum's bits; numpy's own row-wise sum makes one short
+                    # pairwise call per trial and is several times slower
+                    combined = _column_sum(forwarded)
                 else:
-                    # column by column: max is exact in any order, and a
-                    # row-wise reduction over N columns is several times slower
-                    best = functools.reduce(np.maximum, forwarded.T)
-                    np.less(best, relay_limit, out=out)
+                    combined = np.maximum.reduce(forwarded, axis=0)
+                np.less(combined, relay_limit, out=flags[i, k, block])
+            # no relay outage at this delta means none at any smaller one
+            if not any(flags[i, k, block].any() for k, _ in relay_schemes):
+                break
     return flags
 
 

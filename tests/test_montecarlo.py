@@ -64,6 +64,20 @@ class TestSampling:
         out = exponential_from_uniform(u, 2.0)
         assert out == pytest.approx(-2.0 * np.log1p(-u))
 
+    def test_out_matches_default_path(self):
+        # the kernel transforms relay-major copies in place: each element has
+        # the bits of the default path on the trial-major columns
+        u = batch_generator(5, 0).random((2049, 7))
+        mean = np.array([0.5, 1.0, 2.0, 0.2, 1.5, 0.8, 1.0])
+        expected = exponential_from_uniform(u, mean)
+        relay_major = np.ascontiguousarray(u.T)
+        result = exponential_from_uniform(relay_major, mean[:, None], out=relay_major)
+        assert result is relay_major
+        assert np.array_equal(relay_major.T.view(np.int64), expected.view(np.int64))
+        out = np.empty_like(u)
+        assert exponential_from_uniform(u, 0.2, out=out) is out
+        assert np.array_equal(out.view(np.int64), exponential_from_uniform(u, 0.2).view(np.int64))
+
     def test_seeded_sample_mean_golden(self):
         draws = exponential_from_uniform(batch_generator(2024, 0).random(10**6), 0.2)
         mean = float(draws.mean())
@@ -267,17 +281,36 @@ def _line_points(make_params, heterogeneous, n_relays, gammas_db, **kwargs):
     return tuple(dataclasses.replace(base, gamma_s=db_to_linear(g)) for g in gammas_db)
 
 
-# gamma_s tuples of one sweep line: a single point, and unordered points with
-# a repeated value
-LINE_GAMMAS = [(8.0,), (20.0, 0.0, 8.0, 0.0, -5.0)]
+# gamma_s tuples of one sweep line: a single point, unordered points with a
+# repeated value, and an unordered line reaching 40, 60 and 120 dB, on which
+# the kernel stops its relay tests before the last point in every block of
+# every case below (at N = 1 only 120 dB is free of relay outage)
+LINE_GAMMAS = [(8.0,), (20.0, 0.0, 8.0, 0.0, -5.0), (60.0, 0.0, 40.0, 8.0, 40.0, 120.0)]
 
 # the same edge cases as test_h1_rows_edge_cases: no H1 row, only H1 rows, a
 # large H1 share
 SENSING = [(1.0, 0.0), (0.0, 0.1), (0.65, 0.35)]
 
 
+class TestOutageMonotoneInSnr:
+    # the kernel's early stop rests on this: at a higher gamma_s a trial can
+    # only leave outage, never enter it, for each scheme; checked on the
+    # reference kernel, which tests every point
+    @pytest.mark.parametrize("pd, pf", SENSING, ids=["no-h1-row", "all-h1-rows", "pd0.65-pf0.35"])
+    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("n_relays", [1, 6, 8, 24])
+    def test_flags_at_higher_gamma_s_are_a_subset(self, n_relays, heterogeneous, pd, pf, make_params):
+        gammas_db = (-5.0, 0.0, 8.0, 20.0, 40.0, 60.0)
+        points = _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
+        for scheme in Scheme:
+            flags = [whole_batch_outage_flags(p, scheme, 77, 1) for p in points]
+            for lower, higher in zip(flags, flags[1:]):
+                assert not np.any(higher & ~lower)
+            assert flags[0].sum() > flags[-1].sum()
+
+
 class TestSweepLine:
-    @pytest.mark.parametrize("gammas_db", LINE_GAMMAS, ids=["one-point", "repeated"])
+    @pytest.mark.parametrize("gammas_db", LINE_GAMMAS, ids=["one-point", "repeated", "early-stop"])
     @pytest.mark.parametrize("pd, pf", SENSING, ids=["no-h1-row", "all-h1-rows", "pd0.65-pf0.35"])
     @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
     # 8, 9, 12 and 17 are the edges of the multi-relay sum's branches
@@ -286,16 +319,22 @@ class TestSweepLine:
         self, n_relays, heterogeneous, pd, pf, gammas_db, make_params
     ):
         # every point of a line sharing one draw gets exactly the flags of
-        # the oracle at that point alone, for the full batch and two prefixes
+        # the oracle at that point alone, for the full batch and two prefixes;
+        # the early stop is keyed on both relay schemes, on multi alone, or
+        # (direct alone) on no relay scheme at all
         points = _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
-        schemes = (Scheme.BEST_RELAY, Scheme.DIRECT, Scheme.MULTI_RELAY)
-        whole = [[whole_batch_outage_flags(p, s, 77, 1) for s in schemes] for p in points]
-        for rows in (TRIALS_PER_BATCH, 1, 2049):
-            flags = _batch_outage_flags(points, schemes, 77, 1, rows=rows)
-            assert flags.shape == (len(points), len(schemes), rows)
-            for per_point, reference in zip(flags, whole):
-                for row, ref in zip(per_point, reference):
-                    assert np.array_equal(row, ref[:rows])
+        whole = [{s: whole_batch_outage_flags(p, s, 77, 1) for s in Scheme} for p in points]
+        for schemes in (
+            (Scheme.BEST_RELAY, Scheme.DIRECT, Scheme.MULTI_RELAY),
+            (Scheme.MULTI_RELAY,),
+            (Scheme.DIRECT,),
+        ):
+            for rows in (TRIALS_PER_BATCH, 1, 2049):
+                flags = _batch_outage_flags(points, schemes, 77, 1, rows=rows)
+                assert flags.shape == (len(points), len(schemes), rows)
+                for per_point, reference in zip(flags, whole):
+                    for row, scheme in zip(per_point, schemes):
+                        assert np.array_equal(row, reference[scheme][:rows])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_tuple_matches_single_point_calls(self, workers, make_params):
