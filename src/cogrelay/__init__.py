@@ -16,10 +16,8 @@ from .model import (
     Scheme,
     SystemParams,
     db_to_linear,
-    posterior,
-    snr_threshold,
 )
-from .montecarlo import OutageEstimate, estimate_outage, outage_flags
+from .montecarlo import OutageEstimate, estimate_outage
 
 __version__ = "0.1.0"
 
@@ -34,8 +32,5 @@ __all__ = [
     "estimate_outage",
     "outage_best_relay",
     "outage_direct",
-    "outage_flags",
     "outage_multi_relay",
-    "posterior",
-    "snr_threshold",
 ]

@@ -9,9 +9,9 @@ branches weighted by the sensing posterior.
 All fading gains are exponential (Rayleigh magnitudes squared), which makes
 every piece elementary: first-hop failures are exponential CDFs, the combined
 relay->destination sum is an Erlang tail, and the interference-perturbed
-versions integrate out the primary gain in closed form.  Sums over decoding
-sets and alternating binomial series go through ``math.fsum`` because the
-terms span many orders of magnitude at high transmit SNR.
+versions integrate out the primary gain in closed form.  Every sum here,
+over decoding-set sizes and inside each second-hop tail, adds nonnegative
+terms only, so nothing cancels at high transmit SNR or at low.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .model import SystemParams
-from .specfun import _poisson_cdf_terms, reg_lower_gamma, scaled_upper_gamma_term
+from .specfun import reg_lower_gamma, scaled_upper_gamma_term
 
 __all__ = [
     "OutageBreakdown",
@@ -117,34 +117,18 @@ def p_sum_below_h1(
 
     Averaging the Erlang CDF over the exponential interference gain yields
 
-        P(k, a) + scaled_upper_gamma_term(k, a, c) / (1 + sigma2_d*c/delta)^k
+        P(k, a) + e^{c} Q(k, a + c) (a / (a + c))^k
 
-    with a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p).  The pre-cancelled
-    tail term is mandatory here: its raw e^{c} factor overflows on its own for
-    weak interference while the combined term stays finite.  delta = 0 is the
-    vanishing-threshold limit and returns 0 directly (the 1/delta factor in
-    the denominator is otherwise singular).
-
-    Where the k-th power in the denominator passes the float range (small
-    delta against c, so high SNR), the tail term is summed in the form
-    e^{-a} sum_{m<k} a^m/m! * (a/(a+c))^(k-m), equal because
-    1 + sigma2_d*c/delta = (a+c)/a, whose factors never exceed 1.
+    with a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p).  The second term is
+    ``scaled_upper_gamma_term``, a sum of nonnegative terms that stays finite
+    where e^{c} or ((a + c)/a)^k alone would overflow; at delta = 0 both terms
+    are 0.
     """
     _check_delta(delta)
     _check_positive(sigma2_d=sigma2_d, sigma2_pd=sigma2_pd, gamma_p=gamma_p)
-    if delta == 0.0:
-        return 0.0
     a = delta / sigma2_d
     c = 1.0 / (sigma2_pd * gamma_p)
-    lower = reg_lower_gamma(k, a)
-    try:
-        denom = (1.0 + sigma2_d / (sigma2_pd * gamma_p * delta)) ** k
-    except OverflowError:
-        r = a / (a + c)
-        tail = math.fsum(t * r ** (k - m) for m, t in enumerate(_poisson_cdf_terms(k, a)))
-    else:
-        tail = scaled_upper_gamma_term(k, a, c) / denom
-    return min(lower + tail, 1.0)
+    return min(reg_lower_gamma(k, a) + scaled_upper_gamma_term(k, a, c), 1.0)
 
 
 def p_max_below_h0(delta: float, sigma2_d: float, k: int) -> float:
@@ -161,42 +145,44 @@ def p_max_below_h1(
 ) -> float:
     """Pr(max of k relay gains < gamma_p*delta*interference gain + delta).
 
-    Derivation: condition on the interference gain y, where the max-CDF is
-    (1 - e^{-(delta + gamma_p*delta*y)/sigma2_d})^k; expand binomially and
-    average each e^{-m*gamma_p*delta*y/sigma2_d} over the exponential y, which
-    contributes 1/(1 + m*r) with r = sigma2_pd*gamma_p*delta/sigma2_d:
+    Given the interference gain y, the max-CDF is (1 - c*u)^k with
+    c = e^{-delta/sigma2_d} and u = e^{-gamma_p*delta*y/sigma2_d}.  Over the
+    exponential y, u is Beta(theta, 1) with theta = 1/r and
+    r = sigma2_pd*gamma_p*delta/sigma2_d, so v = 1 - u has the moments
+    E[v^n] = prod_{j<=n} j*r/(1 + j*r).  Writing 1 - c*u = q + c*v with
+    q = 1 - c and expanding the power binomially gives
 
-        sum_{m=0}^{k} C(k,m) (-1)^m e^{-m*delta/sigma2_d} / (1 + m*r)
+        sum_{n=0}^{k} C(k,n) q^{k-n} c^n E[v^n]
 
-    The alternating sum is fsum-accumulated and clamped to [0,1] against
-    cancellation residue at tiny delta.
+    whose terms are all nonnegative: nothing cancels at high SNR, and at
+    delta = 0 every term is 0.
     """
     _check_delta(delta)
     _check_positive(sigma2_d=sigma2_d, sigma2_pd=sigma2_pd, gamma_p=gamma_p)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     r = sigma2_pd * gamma_p * delta / sigma2_d
-    total = math.fsum(
-        math.comb(k, m) * (-1.0) ** m * math.exp(-m * delta / sigma2_d) / (1.0 + m * r)
-        for m in range(k + 1)
-    )
-    return min(max(total, 0.0), 1.0)
+    q = -math.expm1(-delta / sigma2_d)
+    c = math.exp(-delta / sigma2_d)
+    terms, moment = [], 1.0  # moment = E[v^n]
+    for n in range(k + 1):
+        terms.append(math.comb(k, n) * q ** (k - n) * c ** n * moment)
+        moment *= (n + 1) * r / (1.0 + (n + 1) * r)
+    return math.fsum(terms)
 
 
-def _cardinality_pmf(fail: list[float]) -> list[float]:
-    """Entry k: probability that exactly k relays decode, given per-relay
-    first-hop failure probabilities.
+def _cardinality_pmf(groups: list[tuple[float, float, int]]) -> list[float]:
+    """Entry k: probability that exactly k relays decode, given the first-hop
+    (failure, success, relay count) of each group of alike relays.
 
     The subset sum depends only on the decoding-set size, so its weights are
-    the Poisson-binomial pmf.  Relays with equal failure probability form one
-    binomial group, and the groups are convolved; with every relay distinct
-    this is the O(N^2) recursion of Y. Hong (CSDA 59:41-51, 2013).  All terms
-    are nonnegative, so the accumulation cancels nothing.
+    the Poisson-binomial pmf: one binomial per group, convolved; with every
+    relay distinct this is the O(N^2) recursion of Y. Hong (CSDA 59:41-51,
+    2013).  All terms are nonnegative, so the accumulation cancels nothing.
     """
     pmf = None
-    for f in dict.fromkeys(fail):
-        m = fail.count(f)
-        group = [math.comb(m, j) * (1.0 - f) ** j * f ** (m - j) for j in range(m + 1)]
+    for f, s, m in groups:
+        group = [math.comb(m, j) * s ** j * f ** (m - j) for j in range(m + 1)]
         if pmf is None:  # one group alone is already the pmf, term for term
             pmf = group
             continue
@@ -208,22 +194,32 @@ def _cardinality_pmf(fail: list[float]) -> list[float]:
     return pmf
 
 
-def _first_hop_failures(params: SystemParams, delta: float) -> tuple[list[float], list[float]]:
+def _first_hop(params: SystemParams, delta: float) -> tuple[list, list]:
+    """First-hop (failure, success, relay count) under H0 and under H1 of
+    each group of relays with equal (sigma2_si, sigma2_pi).
+
+    Success is formed directly, e^{-delta/sigma2_si} under H0 and that over
+    1 + r under H1 (r as in ``p_below_h1``), not as 1 - failure: at low SNR
+    the failure rounds towards 1 and the difference keeps no digits.
+    """
     v = params.variances
-    f0 = [p_below_h0(delta, s2) for s2 in v.sigma2_si]
-    f1 = [
-        p_below_h1(delta, s2s, s2p, params.gamma_p)
-        for s2s, s2p in zip(v.sigma2_si, v.sigma2_pi)
-    ]
-    return f0, f1
+    relays = list(zip(v.sigma2_si, v.sigma2_pi))
+    h0, h1 = [], []
+    for s2s, s2p in dict.fromkeys(relays):
+        m = relays.count((s2s, s2p))
+        success = math.exp(-delta / s2s)
+        r = s2p * params.gamma_p * delta / s2s
+        h0.append((p_below_h0(delta, s2s), success, m))
+        h1.append((p_below_h1(delta, s2s, s2p, params.gamma_p), success / (1.0 + r), m))
+    return h0, h1
 
 
 def _relay_scheme_outage(params: SystemParams, tail_h0, tail_h1) -> OutageBreakdown:
     post = params.posterior()
     delta = params.snr_threshold().delta
-    f0, f1 = _first_hop_failures(params, delta)
-    pmf0 = _cardinality_pmf(f0)
-    pmf1 = _cardinality_pmf(f1)
+    h0, h1 = _first_hop(params, delta)
+    pmf0 = _cardinality_pmf(h0)
+    pmf1 = _cardinality_pmf(h1)
     sizes = range(1, params.n_relays + 1)
     return OutageBreakdown.from_components(
         empty_h0=post.pi0 * pmf0[0],

@@ -20,7 +20,6 @@ __all__ = [
     "SnrThreshold",
     "SystemParams",
     "db_to_linear",
-    "linear_to_db",
     "posterior",
     "snr_threshold",
 ]
@@ -208,8 +207,3 @@ def snr_threshold(rate: float, gamma_s: float) -> SnrThreshold:
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
-
-def linear_to_db(x: float) -> float:
-    if not (x > 0.0):
-        raise ValueError(f"linear value must be > 0, got {x}")
-    return 10.0 * math.log10(x)

@@ -1,17 +1,17 @@
-"""Regularized lower incomplete gamma function for integer shape.
+"""Erlang (integer-shape gamma) tails for the second-hop outage terms.
 
-The second-hop outage terms reduce to the CDF of a sum of k i.i.d. unit-mean
-exponentials (an Erlang tail), which for integer k is the exact finite sum
+The sum of k i.i.d. unit-mean exponentials has the exact finite-sum CDF
 
     P(k, x) = 1 - e^{-x} * sum_{m=0}^{k-1} x^m / m!
 
 Only integer shapes ever occur here (k counts relays in a decoding set), so
-nothing heavier than finite sums is needed.  All accumulations go through
-``math.fsum`` so the documented 1e-12 identities hold.
+nothing heavier than finite sums is needed.  Both functions sum Poisson pmf
+terms e^{-x} x^m / m!, which are nonnegative and never exceed 1, so no sum
+here cancels or overflows.
 
-The sums build their terms from a leading e^{-x}.  Past x ~ 708 that factor
-is subnormal (past ~745 it is 0.0) and carries few or no significant digits,
-so there each term is formed in one piece as exp(-x + m*log(z) - lgamma(m+1)).
+The terms are built from a leading e^{-x}.  Past x ~ 708 that factor is
+subnormal (past ~745 it is 0.0) and carries few or no significant digits, so
+there each term is formed in one piece as exp(-x + m*log(x) - lgamma(m+1)).
 """
 
 from __future__ import annotations
@@ -35,28 +35,22 @@ def _check_shape(k) -> int:
     return k
 
 
-def _log_space_term(x: float, z: float, m: int) -> float:
-    # e^{-x} z^m / m! where e^{-x} alone has lost its precision
-    return math.exp(-x + m * math.log(z) - math.lgamma(m + 1))
-
-
-def _exp_terms(k: int, x: float, z: float) -> list[float]:
-    # e^{-x} z^m / m! for m = 0..k-1, built multiplicatively while e^{-x} is
-    # a normal float
-    t = math.exp(-x)
-    if t < _SMALLEST_NORMAL:
-        return [_log_space_term(x, z, m) for m in range(k)]
-    terms = []
-    for m in range(k):
-        terms.append(t)
-        t *= z / (m + 1)
-    return terms
+def _log_space_term(x: float, m: int) -> float:
+    # e^{-x} x^m / m! where e^{-x} alone has lost its precision
+    return math.exp(-x + m * math.log(x) - math.lgamma(m + 1))
 
 
 def _poisson_cdf_terms(k: int, x: float) -> list[float]:
-    # e^{-x} x^m / m! for m = 0..k-1: each value is a Poisson pmf, so no
-    # intermediate ever exceeds 1.
-    return _exp_terms(k, x, x)
+    # e^{-x} x^m / m! for m = 0..k-1, built multiplicatively while e^{-x} is
+    # a normal float; each is a Poisson pmf, so no intermediate exceeds 1
+    t = math.exp(-x)
+    if t < _SMALLEST_NORMAL:
+        return [_log_space_term(x, m) for m in range(k)]
+    terms = []
+    for m in range(k):
+        terms.append(t)
+        t *= x / (m + 1)
+    return terms
 
 
 def reg_lower_gamma(k, x: float) -> float:
@@ -79,7 +73,7 @@ def reg_lower_gamma(k, x: float) -> float:
     terms = []
     t = math.exp(-x)
     if t < _SMALLEST_NORMAL:
-        t = _log_space_term(x, x, k)
+        t = _log_space_term(x, k)
     else:
         for m in range(1, k + 1):
             t *= x / m
@@ -96,20 +90,24 @@ def reg_lower_gamma(k, x: float) -> float:
 
 
 def scaled_upper_gamma_term(k, a: float, c: float) -> float:
-    """e^{c} * (1 - P(k, a + c)) without ever forming e^{c} on its own.
+    """e^{c} * (1 - P(k, a + c)) * (a / (a + c))^k as one sum of nonnegative terms.
 
-    The exponential prefactor cancels algebraically against the e^{-(a+c)}
-    inside the upper tail, leaving
+    Expanding the upper tail and moving the power inside gives
 
-        e^{-a} * sum_{m=0}^{k-1} (a + c)^m / m!
+        e^{-a} * sum_{m=0}^{k-1} a^m / m! * r^(k - m),   r = a / (a + c)
 
-    which stays finite for arbitrarily large c (the naive product overflows
-    once c exceeds ~709).  No intermediate exceeds the e^{-a}(a+c)^{k-1}/(k-1)!
-    scale of the answer itself.
+    a Poisson pmf times a factor of at most 1 in each term, evaluated by
+    Horner's rule in r.  Neither e^{c} nor ((a + c) / a)^k is ever formed, so
+    the value is finite and keeps its relative precision for any c > 0 and
+    a >= 0; it is 0 at a = 0.
     """
     k = _check_shape(k)
     if math.isnan(a) or a < 0.0:
         raise ValueError(f"a must be >= 0, got {a}")
     if math.isnan(c) or c <= 0.0:
         raise ValueError(f"c must be > 0, got {c}")
-    return math.fsum(_exp_terms(k, a, a + c))
+    r = a / (a + c)
+    tail = 0.0
+    for t in _poisson_cdf_terms(k, a):
+        tail = r * (tail + t)
+    return tail

@@ -8,6 +8,13 @@ subsets, in bitmask order.  They share the first- and second-hop building
 blocks with the package, so a disagreement isolates the weighting step.
 Exponential in N, so the tests stay at N <= MAX_ORACLE_RELAYS.
 
+Exact references: ``mp_sum_below_h1``, ``mp_max_below_h1`` and ``mp_outage``
+evaluate the second-hop tails and the whole outage breakdown in mpmath from
+the same float inputs.  ``alternating_max_below_h1`` is the best-relay tail
+as the package once computed it, an alternating series in doubles that
+cancels at high SNR; at enough digits that same series is the exact
+reference ``mp_max_below_h1``.
+
 Monte Carlo: ``whole_batch_outage_flags`` is the batch kernel drawing a
 batch's uniforms in one piece, the reference for the block-wise kernel.
 ``scalar_trial_outage`` is the scalar reference: it runs one trial at a
@@ -20,6 +27,7 @@ flags for that batch exactly.
 
 import math
 
+import mpmath
 import numpy as np
 
 from cogrelay.analytic import (
@@ -103,6 +111,92 @@ def enumerated_cardinality_pmf(params):
         for k, w in _subset_probabilities(fail):
             mixed[k].append(weight * w)
     return tuple(math.fsum(terms) for terms in mixed)
+
+
+def alternating_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
+    """Pr(max of k relay gains < gamma_p*delta*interference gain + delta) as
+
+        sum_{m=0}^{k} C(k,m) (-1)^m e^{-m*delta/sigma2_d} / (1 + m*r)
+
+    with r = sigma2_pd*gamma_p*delta/sigma2_d, fsum-accumulated in doubles
+    and clamped to [0, 1].  Its terms cancel at high SNR: it returns exactly
+    0.0 at k = 6, delta = 3e-4, where the true value is 5.5e-17."""
+    r = sigma2_pd * gamma_p * delta / sigma2_d
+    total = math.fsum(
+        math.comb(k, m) * (-1.0) ** m * math.exp(-m * delta / sigma2_d) / (1.0 + m * r)
+        for m in range(k + 1)
+    )
+    return min(max(total, 0.0), 1.0)
+
+
+def mp_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, dps=700):
+    """The alternating series of ``alternating_max_below_h1`` in `dps`-digit
+    arithmetic.  For k <= 24 no term exceeds C(24, 12) < 10^7, so the
+    cancellation costs at most 7 - log10(value) digits: at 700 digits the
+    sum is exact to double precision for every value above 1e-600."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(delta) / sigma2_d
+        r = mpmath.mpf(sigma2_pd) * gamma_p * delta / sigma2_d
+        return mpmath.fsum(
+            mpmath.binomial(k, m) * (-1) ** m * mpmath.exp(-m * a) / (1 + m * r)
+            for m in range(k + 1)
+        )
+
+
+def mp_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, dps=60):
+    """P(k, a) + e^c Q(k, a+c) (a/(a+c))^k in `dps`-digit arithmetic,
+    a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p), with both incomplete
+    gamma tails from mpmath's ``gammainc``; no power overflows there."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(delta) / sigma2_d
+        c = 1 / (mpmath.mpf(sigma2_pd) * gamma_p)
+        lower = mpmath.gammainc(k, 0, a, regularized=True)
+        upper = mpmath.gammainc(k, a + c, mpmath.inf, regularized=True)
+        return lower + mpmath.e**c * upper * (a / (a + c)) ** k
+
+
+def mp_outage(params, scheme):
+    """Outage breakdown of a relay scheme in mpmath, as a field -> float dict.
+
+    The decoding-set size pmf is convolved relay by relay from first-hop
+    failure and success probabilities, each formed on its own, and the tails
+    are the exact references above.  The threshold is the package's float
+    delta, so both sides start from the same input."""
+    v = params.variances
+    delta = mpmath.mpf(params.snr_threshold().delta)
+    with mpmath.workdps(60):
+        p0, pd, pf = (mpmath.mpf(x) for x in (params.p0, params.pd, params.pf))
+        declared = p0 * pd + (1 - p0) * pf
+        post = (p0 * pd / declared, (1 - p0) * pf / declared)
+        hops = ([], [])
+        for s2s, s2p in zip(v.sigma2_si, v.sigma2_pi):
+            success = mpmath.exp(-delta / s2s)
+            hops[0].append((-mpmath.expm1(-delta / s2s), success))
+            success /= 1 + s2p * params.gamma_p * delta / s2s
+            hops[1].append((1 - success, success))
+        if scheme is Scheme.MULTI_RELAY:
+            tails = (
+                lambda k: mpmath.gammainc(k, 0, delta / v.sigma2_d, regularized=True),
+                lambda k: mp_sum_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k),
+            )
+        elif scheme is Scheme.BEST_RELAY:
+            tails = (
+                lambda k: (-mpmath.expm1(-delta / v.sigma2_d)) ** k,
+                lambda k: mp_max_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k),
+            )
+        else:
+            raise ValueError(f"no decoding sets in scheme {scheme}")
+        out = {}
+        for h, (weight, hop, tail) in enumerate(zip(post, hops, tails)):
+            pmf = [mpmath.mpf(1)]
+            for f, s in hop:
+                pmf = [a * f + b * s for a, b in zip(pmf + [0], [0] + pmf)]
+            out[f"empty_h{h}"] = weight * pmf[0]
+            out[f"nonempty_h{h}"] = weight * mpmath.fsum(
+                pmf[k] * tail(k) for k in range(1, len(pmf))
+            )
+        out["total"] = mpmath.fsum(out.values())
+        return {field: float(x) for field, x in out.items()}
 
 
 def whole_batch_outage_flags(params, scheme, seed, batch_index):

@@ -1,14 +1,16 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from cogrelay.analytic import (
     OutageBreakdown,
     _cardinality_pmf,
-    _first_hop_failures,
+    _first_hop,
     outage_best_relay,
     outage_direct,
     outage_multi_relay,
@@ -19,9 +21,17 @@ from cogrelay.analytic import (
     p_sum_below_h0,
     p_sum_below_h1,
 )
-from cogrelay.model import ChannelVariances, Scheme, db_to_linear, snr_threshold
+from cogrelay.model import ChannelVariances, Scheme, SystemParams, db_to_linear, snr_threshold
 from cogrelay.specfun import reg_lower_gamma
-from oracle import MAX_ORACLE_RELAYS, enumerated_cardinality_pmf, enumerated_outage
+from oracle import (
+    MAX_ORACLE_RELAYS,
+    alternating_max_below_h1,
+    enumerated_cardinality_pmf,
+    enumerated_outage,
+    mp_max_below_h1,
+    mp_outage,
+    mp_sum_below_h1,
+)
 
 BREAKDOWN_FIELDS = ("total", "empty_h0", "empty_h1", "nonempty_h0", "nonempty_h1")
 
@@ -73,18 +83,6 @@ def quad_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
         epsrel=1e-12,
     )
     return val
-
-
-def sum_below_h1_mpmath(delta, sigma2_d, sigma2_pd, gamma_p, k):
-    """Independent oracle: P(k, a) + e^c Q(k, a+c) (a/(a+c))^k in 60-digit
-    arithmetic, a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p), with the
-    upper tail Q computed natively; no power overflows there."""
-    with mpmath.workdps(60):
-        a = mpmath.mpf(delta) / sigma2_d
-        c = 1 / (mpmath.mpf(sigma2_pd) * gamma_p)
-        lower = mpmath.gammainc(k, 0, a, regularized=True)
-        upper = mpmath.gammainc(k, a + c, mpmath.inf, regularized=True)
-        return float(lower + mpmath.e**c * upper * (a / (a + c)) ** k)
 
 
 def brute_force_outage(params, scheme, trials, rng):
@@ -156,6 +154,7 @@ class TestSecondHopSum:
     def test_zero_threshold(self):
         assert p_sum_below_h0(0.0, 1.0, 3) == 0.0
         assert p_sum_below_h1(0.0, 1.0, 0.2, 10.0, 3) == 0.0
+        assert p_max_below_h1(0.0, 1.0, 0.2, 10.0, 3) == 0.0
 
     def test_single_relay_reduces_to_exponential_cdf(self):
         assert p_sum_below_h0(0.3, 1.0, 1) == pytest.approx(
@@ -214,7 +213,7 @@ class TestSecondHopSum:
         with pytest.raises(OverflowError):
             (1.0 + s2d / (s2pd * gp * delta)) ** k
         got = p_sum_below_h1(delta, s2d, s2pd, gp, k)
-        assert abs(got - sum_below_h1_mpmath(delta, s2d, s2pd, gp, k)) <= 1e-14
+        assert abs(got - float(mp_sum_below_h1(delta, s2d, s2pd, gp, k))) <= 1e-14
 
     def test_h1_weak_interference_collapses_to_h0(self):
         for k in (1, 3, 6):
@@ -247,6 +246,14 @@ class TestSecondHopMax:
         got = p_max_below_h1(delta, s2d, s2pd, gp, k)
         assert got == pytest.approx(emp, abs=mc_tolerance(got, n))
 
+    def test_h1_high_snr_regression(self):
+        # k=6 at 40 dB (delta = 3e-4): the alternating series this tail was
+        # once summed as cancels to exactly 0.0 in doubles here
+        assert alternating_max_below_h1(3e-4, 1.0, 0.2, 10.0, 6) == 0.0
+        got = p_max_below_h1(3e-4, 1.0, 0.2, 10.0, 6)
+        assert got > 0.0
+        assert_rel_close(got, float(mp_max_below_h1(3e-4, 1.0, 0.2, 10.0, 6)), rel=1e-13)
+
     def test_max_never_exceeds_sum_probability(self):
         # max < x is implied by sum < x, so its probability dominates
         rng = np.random.default_rng(5)
@@ -258,6 +265,171 @@ class TestSecondHopMax:
                 p_max_below_h1(delta, 1.0, 0.2, gp, k)
                 >= p_sum_below_h1(delta, 1.0, 0.2, gp, k) - 1e-12
             )
+
+
+# relative tolerance of every closed form over SNR_DB (dB) wherever the exact
+# value is at least TAIL_FLOOR; below it the values approach the subnormal
+# range
+TAIL_REL = 1e-13
+TAIL_FLOOR = 1e-290
+SNR_DB = range(-40, 121, 5)
+
+
+def assert_exact_within_tail_tolerance(got, exact):
+    exact = float(exact)
+    slack = TAIL_REL * exact if exact >= TAIL_FLOOR else TAIL_FLOOR
+    assert abs(got - exact) <= slack, (got, exact)
+
+
+@pytest.mark.parametrize("k", (1, 2, 6, 12, 24))
+@pytest.mark.parametrize("sigma2_d", (0.3, 1.0, 3.0))
+@pytest.mark.parametrize("gamma_p", (1e-3, 10.0, 1e5))
+class TestTailsOverWholeRange:
+    """Both H1 second-hop tails against exact mpmath references from -40 to
+    120 dB: the max tail against its alternating series at 700 digits, the
+    sum tail against mpmath's incomplete gamma functions."""
+
+    def check(self, tail, exact_tail, k, sigma2_d, gamma_p):
+        for g_db in SNR_DB:
+            delta = snr_threshold(1.0, db_to_linear(g_db)).delta
+            got = tail(delta, sigma2_d, 0.2, gamma_p, k)
+            assert_exact_within_tail_tolerance(got, exact_tail(delta, sigma2_d, 0.2, gamma_p, k))
+
+    def test_max_tail(self, k, sigma2_d, gamma_p):
+        self.check(p_max_below_h1, mp_max_below_h1, k, sigma2_d, gamma_p)
+
+    def test_sum_tail(self, k, sigma2_d, gamma_p):
+        self.check(p_sum_below_h1, mp_sum_below_h1, k, sigma2_d, gamma_p)
+
+
+@pytest.mark.parametrize("sigma2", (0.3, 1.0, 3.0))
+def test_h0_tails_and_first_hop_over_whole_range(sigma2):
+    # the elementary closed forms over the same range and tolerance
+    with mpmath.workdps(60):
+        for g_db in SNR_DB:
+            delta = snr_threshold(1.0, db_to_linear(g_db)).delta
+            x = mpmath.mpf(delta) / sigma2
+            below = -mpmath.expm1(-x)
+            assert_exact_within_tail_tolerance(p_below_h0(delta, sigma2), below)
+            for gamma_p in (1e-3, 10.0, 1e5):
+                r = mpmath.mpf(0.2) * gamma_p * delta / sigma2
+                assert_exact_within_tail_tolerance(
+                    p_below_h1(delta, sigma2, 0.2, gamma_p), (r + below) / (1 + r)
+                )
+            for k in (1, 2, 6, 12, 24):
+                assert_exact_within_tail_tolerance(
+                    p_sum_below_h0(delta, sigma2, k), mpmath.gammainc(k, 0, x, regularized=True)
+                )
+                assert_exact_within_tail_tolerance(p_max_below_h0(delta, sigma2, k), below**k)
+
+
+@pytest.mark.parametrize("scheme", (Scheme.MULTI_RELAY, Scheme.BEST_RELAY))
+@pytest.mark.parametrize("g_db", (-10.0, -20.0))
+def test_low_snr_breakdown_matches_mpmath(make_params, scheme, g_db):
+    # the non-empty components once came from 1 - failure, which rounds to
+    # 0 here: nonempty_h0 was 1.7e-4 off at -10 dB and 0.0 at -20 dB
+    params = make_params(g_db)
+    fn = outage_multi_relay if scheme is Scheme.MULTI_RELAY else outage_best_relay
+    got = fn(params)
+    for field, exact in mp_outage(params, scheme).items():
+        assert exact > 0.0
+        assert_rel_close(getattr(got, field), exact, rel=1e-13)
+
+
+RELATIVE_SLACK = 1e-12
+
+
+def assert_at_most(x, y):
+    """x <= y up to rounding: RELATIVE_SLACK of y, or the smallest normal
+    double where both values are below the normal range."""
+    assert x <= y * (1.0 + RELATIVE_SLACK) + sys.float_info.min, (x, y)
+
+
+OUTAGE = {
+    Scheme.MULTI_RELAY: outage_multi_relay,
+    Scheme.BEST_RELAY: outage_best_relay,
+    Scheme.DIRECT: outage_direct,
+}
+relay_scheme = st.sampled_from((Scheme.MULTI_RELAY, Scheme.BEST_RELAY))
+snr_db = st.floats(min_value=-10.0, max_value=120.0)
+relay_count = st.integers(min_value=1, max_value=24)
+detection = st.floats(min_value=0.05, max_value=1.0)
+false_alarm = st.floats(min_value=0.0, max_value=1.0)
+primary_db = st.floats(min_value=-20.0, max_value=40.0)
+
+
+def ordered(values):
+    return st.tuples(values, values).map(sorted)
+
+
+def outage_total(scheme, g_db, n, pd, pf, gamma_p_db):
+    params = SystemParams(
+        p0=0.8,
+        pd=pd,
+        pf=pf,
+        gamma_s=db_to_linear(g_db),
+        gamma_p=db_to_linear(gamma_p_db),
+        rate=1.0,
+        n_relays=n,
+        variances=ChannelVariances.homogeneous(n),
+    )
+    return OUTAGE[scheme](params).total
+
+
+class TestOrderingsOverCliRange:
+    """The proven orderings of the closed forms over the range the CLI
+    accepts: N 1..24, gamma_s -10..120 dB, gamma_p -20..40 dB and any
+    sensing pair that declares a hole."""
+
+    @given(g_db=snr_db, n=relay_count, pd=detection, pf=false_alarm, gp_db=primary_db)
+    @settings(deadline=None)
+    def test_multi_at_most_best_at_most_one(self, g_db, n, pd, pf, gp_db):
+        multi = outage_total(Scheme.MULTI_RELAY, g_db, n, pd, pf, gp_db)
+        best = outage_total(Scheme.BEST_RELAY, g_db, n, pd, pf, gp_db)
+        assert_at_most(multi, best)
+        assert_at_most(best, 1.0)
+
+    @given(
+        scheme=st.sampled_from(tuple(OUTAGE)),
+        g_db=ordered(snr_db),
+        n=relay_count,
+        pd=detection,
+        pf=false_alarm,
+        gp_db=primary_db,
+    )
+    @settings(deadline=None)
+    def test_nonincreasing_in_snr(self, scheme, g_db, n, pd, pf, gp_db):
+        low, high = (outage_total(scheme, g, n, pd, pf, gp_db) for g in g_db)
+        assert_at_most(high, low)
+
+    @given(
+        scheme=relay_scheme,
+        g_db=snr_db,
+        n=ordered(relay_count),
+        pd=detection,
+        pf=false_alarm,
+        gp_db=primary_db,
+    )
+    @settings(deadline=None)
+    def test_nonincreasing_in_relay_count(self, scheme, g_db, n, pd, pf, gp_db):
+        fewer, more = (outage_total(scheme, g_db, m, pd, pf, gp_db) for m in n)
+        assert_at_most(more, fewer)
+
+    @given(
+        scheme=st.sampled_from(tuple(OUTAGE)),
+        g_db=snr_db,
+        n=relay_count,
+        pd=ordered(detection),
+        pf=ordered(false_alarm),
+        gp_db=primary_db,
+    )
+    @settings(deadline=None)
+    def test_monotone_in_sensing(self, scheme, g_db, n, pd, pf, gp_db):
+        # non-increasing in pd at fixed pf, non-decreasing in pf at fixed pd
+        low_pd, high_pd = (outage_total(scheme, g_db, n, d, pf[0], gp_db) for d in pd)
+        assert_at_most(high_pd, low_pd)
+        low_pf, high_pf = (outage_total(scheme, g_db, n, pd[1], f, gp_db) for f in pf)
+        assert_at_most(low_pf, high_pf)
 
 
 class TestMultiRelayOutage:
@@ -430,8 +602,8 @@ def cardinality_pmf(params):
     """Decoding-set size distribution given a declared hole: the pmfs of the
     interference-free and interfered first hops, mixed by the posterior."""
     post = params.posterior()
-    f0, f1 = _first_hop_failures(params, params.snr_threshold().delta)
-    return [post.pi0 * a + post.pi1 * b for a, b in zip(_cardinality_pmf(f0), _cardinality_pmf(f1))]
+    h0, h1 = _first_hop(params, params.snr_threshold().delta)
+    return [post.pi0 * a + post.pi1 * b for a, b in zip(_cardinality_pmf(h0), _cardinality_pmf(h1))]
 
 
 class TestDecodingCardinalityPmf:

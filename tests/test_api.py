@@ -15,10 +15,7 @@ PUBLIC_API = {
     "estimate_outage",
     "outage_best_relay",
     "outage_direct",
-    "outage_flags",
     "outage_multi_relay",
-    "posterior",
-    "snr_threshold",
 }
 
 README = Path(__file__).parents[1] / "README.md"

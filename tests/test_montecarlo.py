@@ -10,7 +10,7 @@ import pytest
 from cogrelay import montecarlo
 from cogrelay.analytic import (
     _cardinality_pmf,
-    _first_hop_failures,
+    _first_hop,
     outage_multi_relay,
     p_sum_below_h0,
 )
@@ -567,8 +567,8 @@ class TestDecodingSetDistribution:
         params = make_params(10.0)
         post = params.posterior()
         thr = params.snr_threshold()
-        f0, f1 = _first_hop_failures(params, thr.delta)
-        pmf0, pmf1 = _cardinality_pmf(f0), _cardinality_pmf(f1)
+        h0, h1 = _first_hop(params, thr.delta)
+        pmf0, pmf1 = _cardinality_pmf(h0), _cardinality_pmf(h1)
         pmf = [post.pi0 * a + post.pi1 * b for a, b in zip(pmf0, pmf1)]
         n, trials = params.n_relays, 10**6
         rng = np.random.default_rng(2468)

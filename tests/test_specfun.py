@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -19,11 +20,14 @@ def erlang_cdf_quadrature(k: int, x: float) -> float:
 
 
 def scaled_term_mpmath(k: int, a: float, c: float) -> float:
-    """Independent oracle: e^c * Q(k, a+c) in 50-digit arithmetic, with the
-    upper tail Q computed natively (1 - P would cancel to zero at large c)."""
-    z = mpmath.mpf(a) + mpmath.mpf(c)
+    """Independent oracle: e^c * Q(k, a+c) * (a/(a+c))^k in 50-digit
+    arithmetic, with the upper tail Q computed natively (1 - P would cancel
+    to zero at large c) and the power formed in mpmath, where it cannot
+    overflow."""
+    a = mpmath.mpf(a)
+    z = a + mpmath.mpf(c)
     upper = mpmath.gammainc(k, z, mpmath.inf, regularized=True)
-    return float(mpmath.e ** mpmath.mpf(c) * upper)
+    return float(mpmath.e ** mpmath.mpf(c) * upper * (a / z) ** k)
 
 
 class TestRegLowerGamma:
@@ -103,31 +107,43 @@ class TestRegLowerGamma:
 
 
 class TestScaledUpperGammaTerm:
-    def test_unit_at_zero_a_k1(self):
-        assert scaled_upper_gamma_term(1, 0.0, 5.0) == 1.0
+    def test_zero_at_zero_a(self):
+        # (a/(a+c))^k vanishes with a
+        assert scaled_upper_gamma_term(1, 0.0, 5.0) == 0.0
 
-    def test_k1_is_exp_minus_a(self):
-        # frozen from the 50-digit direct-product oracle at moderate c
+    def test_k1_value(self):
+        # e^{-a} a/(a+c); frozen from the 50-digit oracle at moderate c
         assert scaled_upper_gamma_term(1, 0.3, 2.0) == pytest.approx(
-            0.7408182206817179, rel=1e-12
+            0.09662846356718059, rel=1e-12
         )
 
     @pytest.mark.parametrize("k, a, c", [(1000, 800.0, 1.0), (1000, 720.0, 1.0), (24, 746.0, 1.0)])
     def test_large_a_matches_mpmath(self, k, a, c):
-        # e^{-a} underflows here; the first and last cases returned 0.0
+        # e^{-a} underflows here; a sum built on it returned 0.0 in the first
+        # and last cases
         assert scaled_upper_gamma_term(k, a, c) == pytest.approx(
             scaled_term_mpmath(k, a, c), rel=1e-10, abs=0.0
         )
 
     def test_huge_c_stays_finite(self):
-        # the naive e^c (1 - P) route overflows at c=1000; the cancelled form
-        # must match 50-digit arithmetic instead
+        # the naive e^c (1 - P) route overflows at c=1000; the sum never forms
+        # e^c and must match 50-digit arithmetic instead
         with pytest.raises(OverflowError):
             math.exp(1000.0)
         got = scaled_upper_gamma_term(2, 0.3, 1000.0)
         assert math.isfinite(got)
-        assert got == pytest.approx(741.7812843686041, rel=1e-12)
+        assert got == pytest.approx(6.672027742189626e-05, rel=1e-12)
         assert got == pytest.approx(scaled_term_mpmath(2, 0.3, 1000.0), rel=1e-12)
+
+    @pytest.mark.parametrize("k, a, c", [(12, 1e-20, 1e10), (24, 1e-8, 1e5), (200, 150.0, 1e6)])
+    def test_overflowing_power_stays_finite(self, k, a, c):
+        # ((a+c)/a)^k passes the float range while the value is a normal
+        # double; the sum never forms that power
+        with pytest.raises(OverflowError):
+            (1.0 + c / a) ** k
+        got = scaled_upper_gamma_term(k, a, c)
+        assert math.isfinite(got) and got >= sys.float_info.min
+        assert got == pytest.approx(scaled_term_mpmath(k, a, c), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     @pytest.mark.parametrize("a", [0.0, 0.3, 2.0])
@@ -141,7 +157,7 @@ class TestScaledUpperGammaTerm:
         )
         q = 1.0 - reg_lower_gamma(k, a + c)
         if q >= 1e-7:
-            naive = math.exp(c) * q
+            naive = math.exp(c) * q * (a / (a + c)) ** k
             assert scaled_upper_gamma_term(k, a, c) == pytest.approx(naive, rel=1e-9)
 
     @pytest.mark.parametrize("bad", [(1, -0.1, 1.0), (1, 0.0, 0.0), (1, 0.0, -2.0), (0, 0.0, 1.0)])
