@@ -17,7 +17,6 @@ from .model import (
     SystemParams,
     db_to_linear,
 )
-from .montecarlo import OutageEstimate, estimate_outage
 
 __version__ = "0.1.0"
 
@@ -34,3 +33,16 @@ __all__ = [
     "outage_direct",
     "outage_multi_relay",
 ]
+
+_MONTE_CARLO = ("OutageEstimate", "estimate_outage")  # numpy: resolved on first use (PEP 562)
+
+
+def __getattr__(name):
+    if name in _MONTE_CARLO:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_MONTE_CARLO})

@@ -18,18 +18,24 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import product, repeat
+from typing import TYPE_CHECKING, Iterator
 
 from .analytic import OutageBreakdown, outage_best_relay, outage_direct, outage_multi_relay
 from .model import (
     MAX_RELAYS,
+    MAX_WORKERS,
     ChannelVariances,
     Scheme,
     SystemParams,
     db_to_linear,
     snr_threshold,
 )
-from .montecarlo import MAX_WORKERS, OutageEstimate, estimate_outage
+
+if TYPE_CHECKING:
+    from .montecarlo import OutageEstimate
 
 __all__ = [
     "CSV_HEADER",
@@ -95,7 +101,7 @@ def _require_probability(value, field: str) -> float:
         raise ConfigError(f"{field}: expected a number, got {value!r}") from None
     if math.isnan(v) or not 0.0 <= v <= 1.0:
         raise ConfigError(f"{field}: must be in [0,1], got {v}")
-    return v
+    return v + 0.0  # -0.0 -> 0.0, printed "0"
 
 
 def _require_positive(value, field: str) -> float:
@@ -147,7 +153,7 @@ def build_spec(data: dict) -> SweepSpec:
     if not isinstance(axis, (list, tuple)) or not axis:
         raise ConfigError("gamma_s_db: must be a non-empty list of dB values")
     try:
-        gamma_s_db = tuple(float(x) for x in axis)
+        gamma_s_db = tuple(float(x) + 0.0 for x in axis)  # -0.0 -> 0.0, printed "0"
     except (TypeError, ValueError):
         raise ConfigError(f"gamma_s_db: expected a list of numbers, got {axis!r}") from None
 
@@ -305,18 +311,24 @@ def analytic_outage(params: SystemParams, scheme: Scheme) -> OutageBreakdown:
     return outage_direct(params)
 
 
-def sweep_points(spec: SweepSpec) -> list[tuple[Scheme, float, float, int, float]]:
-    """Grid points in frozen emission order: lexicographic in
-    (scheme, pd, pf, n_relays, gamma_s_db)."""
-    points = [
-        (scheme, pd, pf, n, g)
-        for scheme in spec.schemes
-        for (pd, pf) in spec.sensing_pairs
-        for n in spec.relay_counts
-        for g in spec.gamma_s_db
-    ]
-    points.sort(key=lambda p: (p[0].value, p[1], p[2], p[3], p[4]))
-    return points
+def estimate_outage(params, schemes, trials, seed, workers=1):
+    """``montecarlo.estimate_outage``, imported on the first call, so that a
+    run that never simulates never loads numpy or the process pool."""
+    from . import montecarlo
+    return montecarlo.estimate_outage(params, schemes, trials, seed, workers=workers)
+
+
+def sweep_points(spec: SweepSpec) -> Iterator[tuple[Scheme, float, float, int, float]]:
+    """Yield the grid points in frozen emission order, lexicographic in
+    (scheme, pd, pf, n_relays, gamma_s_db), without building the grid; a
+    (pair, N) given k times yields each of its points k times in a row, as
+    a stable sort of the whole grid would."""
+    plane = sorted(Counter(product(spec.sensing_pairs, spec.relay_counts)).items())
+    gammas = sorted(spec.gamma_s_db)
+    for scheme in sorted(spec.schemes, key=lambda s: s.value):
+        for ((pd, pf), n), copies in plane:
+            for g in gammas:
+                yield from repeat((scheme, pd, pf, n, g), copies)
 
 
 @dataclass(frozen=True)
@@ -357,12 +369,12 @@ def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
     rows look their estimates up in its result.  That call decides which
     points share draws and starts and stops its own worker pool, so no
     worker is alive when a row is yielded.  A sweep with trials = 0 makes
-    no call."""
-    points = sweep_points(spec)
+    no call and never imports montecarlo; its rows stream from sweep_points,
+    so the first row waits only for its own closed form."""
     estimates: dict[tuple, OutageEstimate] = {}
     if spec.trials > 0:
         # the distinct grid points, in emission order
-        grid = tuple(dict.fromkeys(p[1:] for p in points))
+        grid = tuple(dict.fromkeys(p[1:] for p in sweep_points(spec)))
         fused = estimate_outage(
             tuple(_params_at(spec, *q) for q in grid),
             spec.schemes, spec.trials, spec.seed, workers=workers,
@@ -370,7 +382,7 @@ def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
         estimates = {
             (s, *q): e for q, per_scheme in zip(grid, fused) for s, e in zip(spec.schemes, per_scheme)
         }
-    for point in points:
+    for point in sweep_points(spec):
         scheme, pd, pf, n, g = point
         yield SweepRow(
             scheme=scheme,

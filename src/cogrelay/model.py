@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "MAX_RELAYS",
+    "MAX_WORKERS",
     "ChannelVariances",
     "Posterior",
     "Scheme",
@@ -28,6 +29,9 @@ __all__ = [
 # float64 uniforms at a time, 1.2 MB at N=24.  The closed forms cost O(N^2)
 # and need no cap.
 MAX_RELAYS = 24
+
+# Upper bound on Monte Carlo pool processes, checked before any starts.
+MAX_WORKERS = 64
 
 
 class Scheme(str, enum.Enum):

@@ -47,7 +47,8 @@ at most `workers` processes (no more than it has batches), hands it the
 batches of every line in one map, and shuts it down, cancelling what is
 still queued, before it returns, raises or is interrupted.  No worker
 outlives the call, and calls share no pool or other module state.  The
-worker count is capped at MAX_WORKERS, checked before any pool starts.
+worker count is capped at MAX_WORKERS, checked before any pool starts; it
+lives in ``model``, so the CLI checks it without importing numpy.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Scheme, SystemParams
+from .model import MAX_WORKERS, Scheme, SystemParams
 
 __all__ = [
     "MAX_WORKERS",
@@ -80,10 +81,6 @@ TRIALS_PER_BATCH = 16384
 # at 4096 against 0.528 s (4096 faster in 8 of 10); 4096 also raised
 # peak_rss_mb by 3.0% (103.7 -> 106.8 MB), more than its 4% saving is worth.
 BLOCK_ROWS = 2048
-
-# Upper bound on pool processes; a larger request is refused before any
-# process starts.
-MAX_WORKERS = 64
 
 _SEED_MASK = (1 << 64) - 1
 

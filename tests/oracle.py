@@ -23,6 +23,10 @@ gains in the kernel's column layout and with the kernel's expressions, and
 applying the decode, sum and max tests to plain arrays.  Called
 TRIALS_PER_BATCH times on a batch's stream, it must reproduce the kernel's
 flags for that batch exactly.
+
+Sweep order: ``sorted_sweep_points`` builds the whole scheme x pair x N x
+gamma_s product and sorts it once, as the CLI once did; the streamed
+``cli.sweep_points`` must yield the same points in the same order.
 """
 
 import math
@@ -43,6 +47,20 @@ from cogrelay.model import Scheme
 from cogrelay.montecarlo import TRIALS_PER_BATCH, batch_generator, exponential_from_uniform
 
 MAX_ORACLE_RELAYS = 12
+
+
+def sorted_sweep_points(spec):
+    """Every grid point of a SweepSpec, stably sorted by
+    (scheme value, pd, pf, n_relays, gamma_s_db)."""
+    points = [
+        (scheme, pd, pf, n, g)
+        for scheme in spec.schemes
+        for (pd, pf) in spec.sensing_pairs
+        for n in spec.relay_counts
+        for g in spec.gamma_s_db
+    ]
+    points.sort(key=lambda p: (p[0].value, p[1], p[2], p[3], p[4]))
+    return points
 
 
 def _subset_probabilities(fail):

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cogrelay
 from cogrelay.cli import (
@@ -23,6 +24,7 @@ from cogrelay.cli import (
     validate_points,
 )
 from cogrelay.model import Scheme, db_to_linear
+from oracle import sorted_sweep_points
 
 STUDY_CONFIG = {
     "gamma_s_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
@@ -137,6 +139,34 @@ class TestSweep:
         points = sweep_points(spec)
         keys = [(s.value, pd, pf, n, g) for (s, pd, pf, n, g) in points]
         assert keys == sorted(keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma_s_db=st.lists(st.sampled_from([-0.0, 0.0, -5.0, 2.5, 10.0]), min_size=1, max_size=5),
+        pairs=st.lists(
+            st.tuples(st.sampled_from([-0.0, 0.0, 0.5, 0.9]), st.sampled_from([-0.0, 0.0, 0.1]))
+            .filter(lambda pair: pair[0] > 0.0 or pair[1] > 0.0),
+            min_size=1, max_size=4,
+        ),
+        relay_counts=st.lists(st.sampled_from([1, 4, 6, 24]), min_size=1, max_size=4),
+        schemes=st.lists(st.sampled_from(["multi", "best", "direct"]), min_size=1, max_size=4),
+    )
+    def test_streamed_points_match_the_sorted_grid(self, gamma_s_db, pairs, relay_counts, schemes):
+        # unsorted axes with repeats and signed zeros: the streamed points are
+        # the sorted grid's, element by element and down to their repr
+        spec = build_spec({"gamma_s_db": gamma_s_db, "sensing_pairs": pairs,
+                           "relay_counts": relay_counts, "schemes": schemes})
+        streamed = list(sweep_points(spec))
+        expected = sorted_sweep_points(spec)
+        assert streamed == expected
+        assert [repr(p) for p in streamed] == [repr(p) for p in expected]
+
+    def test_signed_zeros_print_as_zero(self, capsys):
+        rc = main(["sweep", "--gamma-s-db=-0,0", "--pd=-0", "--pf", "0.1",
+                   "--n-relays", "4,6", "--scheme", "multi"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[1], r[2], r[4]) for r in rows] == [("4", "0", "0")] * 2 + [("6", "0", "0")] * 2
 
     def test_rerun_is_byte_identical(self):
         cfg = {"gamma_s_db": [5.0, 15.0], "schemes": ["best"], "trials": 20_000, "seed": 3}
@@ -488,3 +518,43 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+# Modules that only the Monte Carlo path needs.
+MONTE_CARLO_MODULES = ("numpy", "cogrelay.montecarlo", "concurrent.futures.process")
+
+
+def _modules_loaded_after(code: str) -> list[str]:
+    """Run `code` in a fresh interpreter; the Monte Carlo modules it loaded."""
+    probe = f"import json, sys\n{code}\nprint(json.dumps([m for m in {MONTE_CARLO_MODULES!r} if m in sys.modules]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cogrelay.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, loads_monte_carlo",
+    [
+        (["analytic", "--n-relays", "6", "--gamma-s-db", "20"], False),
+        (["sweep", "--trials", "0", "--n-relays", "4,6"], False),
+        (["simulate", "--trials", "1000", "--gamma-s-db", "10"], True),
+    ],
+    ids=["analytic", "sweep-trials-0", "simulate"],
+)
+def test_only_a_simulating_run_imports_numpy(argv, loads_monte_carlo):
+    code = f"from cogrelay import cli\nassert cli.main({argv!r} + ['--out', {os.devnull!r}]) == 0"
+    expected = list(MONTE_CARLO_MODULES) if loads_monte_carlo else []
+    assert _modules_loaded_after(code) == expected
+
+
+def test_package_resolves_monte_carlo_names_on_first_use():
+    assert _modules_loaded_after("import cogrelay") == []
+    code = (
+        "import cogrelay\n"
+        "assert {'estimate_outage', 'OutageEstimate'} <= set(dir(cogrelay))\n"
+        "assert cogrelay.estimate_outage is cogrelay.montecarlo.estimate_outage\n"
+        "assert cogrelay.OutageEstimate is cogrelay.montecarlo.OutageEstimate"
+    )
+    assert _modules_loaded_after(code) == list(MONTE_CARLO_MODULES)
