@@ -22,29 +22,33 @@ therefore bit-identical for any worker count, and any longer run reproduces
 a shorter run's trials exactly as its prefix.
 
 Schemes share sample paths: at equal (params, seed) every scheme reads the
-same rows.  So do points that differ only in gamma_s, the axis of every
-sweep line: the uniforms depend on the seed, the batch and the row width
-3N+3 only, and no variance depends on gamma_s, so such points share every
-gain and differ only in their thresholds delta and delta_direct (common
-random numbers).  The kernel therefore draws and transforms each block once
-and emits flags for every requested point and scheme from that one draw.
-``estimate_outage`` takes any tuple of points, groups those that differ
-only in gamma_s into lines, and runs one pass over the batches per line; a
-point's flags for a scheme do not depend on which other points or schemes
-were requested with it.
+same rows.  So do points of different gamma_s, rate or sensing pair at the
+same N, variances and gamma_p: the uniforms depend on the seed, the batch
+and the row width 3N+3 only, and the gains on the variances, so such
+points share every uniform and gain (common random numbers).  They differ
+only in their thresholds delta and delta_direct and in which rows are H1:
+a row is H1 when its hypothesis uniform is below the posterior pi1, so the
+H1 rows of a smaller pi1 are a subset of those of a larger one.  The
+kernel therefore draws and transforms each block once and emits flags for
+every requested point and scheme from that one draw.  ``estimate_outage``
+takes any tuple of points, groups them by (variances, gamma_p) into draw
+groups, and runs one pass over the batches per group; a point's flags for
+a scheme do not depend on which other points or schemes were requested
+with it.
 
-Within a line, outage only shrinks as gamma_s grows, trial by trial and in
-floating point, not just in probability: the threshold delta falls, and
-every rounded step of the relay tests (the products delta*s, the forwarded
-gains g or +0.0, their fixed-order sum or exact max) is monotone in delta.
-So the kernel runs each block's relay tests from the largest delta down
-and stops at the first point where no trial of the block is in relay
-outage; the points above it keep "no outage" for that block, which is what
-testing them would give (see ``_batch_outage_flags``).
+Along a line (the points of one posterior), outage only shrinks as gamma_s
+grows, trial by trial and in floating point, not just in probability: the
+threshold delta falls, and every rounded step of the relay tests (the
+products delta*s, the forwarded gains g or +0.0, their fixed-order sum or
+exact max) is monotone in delta.  So the kernel runs each block's relay
+tests of a line from the largest delta down and stops at the first point
+where no trial of the block is in relay outage; the points above it keep
+"no outage" for that block, which is what testing them would give (see
+``_batch_outage_flags``).
 
 Worker pool: with workers > 1, ``estimate_outage`` starts a process pool of
 at most `workers` processes (no more than it has batches), hands it the
-batches of every line in one map, and shuts it down, cancelling what is
+batches of every draw group in one map, and shuts it down, cancelling what is
 still queued, before it returns, raises or is interrupted.  No worker
 outlives the call, and calls share no pool or other module state.  The
 worker count is capped at MAX_WORKERS, checked before any pool starts; it
@@ -56,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,8 +167,9 @@ def _batch_outage_flags(
     """Outage flags for the first `rows` trials of one batch: flags[p, s]
     holds point p's flags for scheme s, in the orders given.
 
-    The points differ only in gamma_s (``estimate_outage`` groups them so),
-    so they read the same uniforms and gains; only their thresholds differ.
+    The points share N, the variances and gamma_p (``estimate_outage``
+    groups them so), so they read the same uniforms and gains; they differ
+    only in their thresholds and their posterior pi1.
 
     Column r holds trial batch_index*TRIALS_PER_BATCH + r.  The uniform
     matrix is drawn BLOCK_ROWS rows at a time from the batch's one stream,
@@ -178,7 +183,12 @@ def _batch_outage_flags(
 
     The primary's gains (g_pi, g_pd) are transformed on H1 rows only: on H0
     rows alpha*gamma_p*g is exactly 0.0, so the decode threshold is delta
-    and the interference factor 1.0, bit for bit.
+    and the interference factor 1.0, bit for bit.  A trial is H1 when its
+    first uniform is below pi1, so the H1 rows of a smaller pi1 are a subset
+    of those of a larger one: the gains are transformed once, over the H1
+    rows of the largest pi1, and each posterior takes its own rows from
+    them.  Every value is the same elementwise operation on the same
+    uniform, so it has the bits a transform over its own rows gives.
 
     The relay gains are held relay-major: each block's g_si and g_id
     columns are copied once into contiguous (N, rows) arrays and
@@ -192,72 +202,89 @@ def _batch_outage_flags(
     ``_column_sum``), so each sum, and with it each flag, has the bits of
     that row-wise sum; the max is exact in any order.
 
-    Early stop: the relay tests visit a block's points from the largest
-    delta (the lowest gamma_s) down, and stop after the first point at
-    which no trial of the block is in outage for any requested relay
-    scheme; the remaining points keep the zero-initialised False.  This
-    cannot change a flag, because every step is monotone in delta under
-    IEEE rounding: fl(delta*s) never decreases as delta grows, so a smaller
-    delta decodes a superset of relays; each forwarded gain is g or +0.0,
-    so none decreases; a fixed-order float sum of non-negative terms is
-    monotone in each term and the max is exact, so the combined gain does
-    not decrease; and the limit fl(delta*I) does not increase.  So a trial
-    in relay outage at a smaller delta is in outage at every larger one,
-    and a block with none at some delta has none below it.  Direct flags
-    are computed for every point.
+    Early stop: the relay tests visit the points of each posterior from the
+    largest delta (the lowest gamma_s) down, and stop after the first point
+    at which no trial of the block is in outage for any requested relay
+    scheme; that posterior's remaining points keep the zero-initialised
+    False.  This cannot change a flag, because every step is monotone in
+    delta under IEEE rounding: fl(delta*s) never decreases as delta grows,
+    so a smaller delta decodes a superset of relays; each forwarded gain is
+    g or +0.0, so none decreases; a fixed-order float sum of non-negative
+    terms is monotone in each term and the max is exact, so the combined
+    gain does not decrease; and the limit fl(delta*I) does not increase.
+    So a trial in relay outage at a smaller delta is in outage at every
+    larger one, and a block with none at some delta has none below it.
+    Direct flags are computed for every point.
     """
     first = points[0]
-    post = first.posterior()
     thresholds = [p.snr_threshold() for p in points]
-    by_delta = sorted(range(len(points)), key=lambda i: thresholds[i].delta, reverse=True)
+    # each posterior's points, from the largest delta down
+    lines: dict[float, list[int]] = {}
+    for i in sorted(range(len(points)), key=lambda i: thresholds[i].delta, reverse=True):
+        lines.setdefault(points[i].posterior().pi1, []).append(i)
+    pi1_max = max(lines)
     n = first.n_relays
     v = first.variances
     gamma_p = first.gamma_p
     sigma2_si = np.asarray(v.sigma2_si)[:, None]
     sigma2_pi = np.asarray(v.sigma2_pi)[:, None]
+    direct = schemes.index(Scheme.DIRECT) if Scheme.DIRECT in schemes else None
     relay_schemes = [(k, s) for k, s in enumerate(schemes) if s is not Scheme.DIRECT]
     gen = batch_generator(seed, batch_index)
     flags = np.zeros((len(points), len(schemes), rows), dtype=bool)
     for start in range(0, rows, BLOCK_ROWS):
         u = gen.random((min(BLOCK_ROWS, rows - start), 3 * n + 3))
         block = slice(start, start + len(u))
-        h1 = np.flatnonzero(u[:, 0] < post.pi1)
-        interference = np.ones(len(u))
-        g_pd = exponential_from_uniform(u[h1, 3 * n + 1], v.sigma2_pd)
-        interference[h1] = gamma_p * g_pd + 1.0
-        if Scheme.DIRECT in schemes:
+        # the H1 rows of the largest pi1 and their hypothesis uniforms
+        h1_all = np.flatnonzero(u[:, 0] < pi1_max)
+        u_h1 = u[h1_all, 0]
+        g_pd = exponential_from_uniform(u[h1_all, 3 * n + 1], v.sigma2_pd)
+        interference_h1 = gamma_p * g_pd + 1.0
+        if direct is not None:
             g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
-            for thr, out in zip(thresholds, flags[:, schemes.index(Scheme.DIRECT), block]):
-                np.less(g_sd, thr.delta_direct * interference, out=out)
-        if not relay_schemes:
-            continue
-        # relay-major: row i holds relay i's gains over the block's trials
-        g_si = np.ascontiguousarray(u[:, 1 : n + 1].T)
-        exponential_from_uniform(g_si, sigma2_si, out=g_si)
-        g_id = np.ascontiguousarray(u[:, 2 * n + 1 : 3 * n + 1].T)
-        exponential_from_uniform(g_id, v.sigma2_d, out=g_id)
-        g_si_h1 = g_si[:, h1]
-        g_pi = u[:, n + 1 : 2 * n + 1].T[:, h1]
-        interference_pi = gamma_p * exponential_from_uniform(g_pi, sigma2_pi, out=g_pi) + 1.0
-        for i in by_delta:
-            delta = thresholds[i].delta
-            decoded = g_si > delta
-            decoded[:, h1] = g_si_h1 > delta * interference_pi
-            # the gain where the relay decoded, +0.0 where it did not
-            forwarded = g_id * decoded
-            relay_limit = delta * interference
-            for k, scheme in relay_schemes:
-                if scheme is Scheme.MULTI_RELAY:
-                    # relay by relay in numpy's pairwise row order, which sets
-                    # the sum's bits; numpy's own row-wise sum makes one short
-                    # pairwise call per trial and is several times slower
-                    combined = _column_sum(forwarded)
-                else:
-                    combined = np.maximum.reduce(forwarded, axis=0)
-                np.less(combined, relay_limit, out=flags[i, k, block])
-            # no relay outage at this delta means none at any smaller one
-            if not any(flags[i, k, block].any() for k, _ in relay_schemes):
-                break
+        if relay_schemes:
+            # relay-major: row i holds relay i's gains over the block's trials
+            g_si = np.ascontiguousarray(u[:, 1 : n + 1].T)
+            exponential_from_uniform(g_si, sigma2_si, out=g_si)
+            g_id = np.ascontiguousarray(u[:, 2 * n + 1 : 3 * n + 1].T)
+            exponential_from_uniform(g_id, v.sigma2_d, out=g_id)
+            g_pi = u[:, n + 1 : 2 * n + 1].T[:, h1_all]
+            exponential_from_uniform(g_pi, sigma2_pi, out=g_pi)
+            interference_pi_h1 = gamma_p * g_pi + 1.0
+        for pi1, line in lines.items():
+            # this posterior's H1 rows, as a mask over h1_all
+            in_h1 = u_h1 < pi1
+            h1 = h1_all[in_h1]
+            interference = np.ones(len(u))
+            interference[h1] = interference_h1[in_h1]
+            if direct is not None:
+                for i in line:
+                    out = flags[i, direct, block]
+                    np.less(g_sd, thresholds[i].delta_direct * interference, out=out)
+            if not relay_schemes:
+                continue
+            g_si_h1 = g_si[:, h1]
+            interference_pi = interference_pi_h1[:, in_h1]
+            for i in line:
+                delta = thresholds[i].delta
+                decoded = g_si > delta
+                decoded[:, h1] = g_si_h1 > delta * interference_pi
+                # the gain where the relay decoded, +0.0 where it did not
+                forwarded = g_id * decoded
+                relay_limit = delta * interference
+                for k, scheme in relay_schemes:
+                    if scheme is Scheme.MULTI_RELAY:
+                        # relay by relay in numpy's pairwise row order, which
+                        # sets the sum's bits; numpy's own row-wise sum makes
+                        # one short pairwise call per trial and is several
+                        # times slower
+                        combined = _column_sum(forwarded)
+                    else:
+                        combined = np.maximum.reduce(forwarded, axis=0)
+                    np.less(combined, relay_limit, out=flags[i, k, block])
+                # no relay outage at this delta means none at any smaller one
+                if not any(flags[i, k, block].any() for k, _ in relay_schemes):
+                    break
     return flags
 
 
@@ -349,14 +376,15 @@ def estimate_outage(
     `scheme` is one Scheme, which gives one OutageEstimate, or a tuple of
     distinct schemes, which gives one estimate per scheme in the same order.
     `params` is one SystemParams, or a tuple of points, which returns one
-    entry per point in the same order; points may repeat.  Points that
-    differ only in gamma_s form one line: they read the same trials, so the
-    call serves each line from one pass over its batches, one draw and one
-    transform of each block.  Each entry equals what a call with that point
-    alone returns, and each estimate what a call for that scheme alone
-    returns.
+    entry per point in the same order; points may repeat.  Points with the
+    same variances and gamma_p (so the same N) form one draw group,
+    whatever their gamma_s, rate and sensing pair: they read the same
+    trials, so the call serves each group from one pass over its batches,
+    one draw and one transform of each block.  Each entry equals what a
+    call with that point alone returns, and each estimate what a call for
+    that scheme alone returns.
 
-    With workers > 1, the batches of every line go to one process pool that
+    With workers > 1, the batches of every group go to one process pool that
     the call starts and shuts down (see the module docstring); per-batch
     outage counts are integers, so the total is exactly the same whatever
     the worker count or scheduling order.  `trials`, `seed` and `workers`
@@ -374,25 +402,27 @@ def estimate_outage(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    # the indices of each line's points, keyed by the point with gamma_s set aside
-    lines: dict[SystemParams, list[int]] = {}
+    # the indices of each draw group's points, keyed by what the uniforms
+    # and gains depend on (the variances fix N)
+    groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
-        lines.setdefault(replace(p, gamma_s=1.0), []).append(i)
+        groups.setdefault((p.variances, p.gamma_p), []).append(i)
     tasks = [
         task
-        for line in lines.values()
-        for task in _batch_tasks(tuple(points[i] for i in line), schemes, trials, seed)
+        for group in groups.values()
+        for task in _batch_tasks(tuple(points[i] for i in group), schemes, trials, seed)
     ]
     workers = min(workers, len(tasks))
     if workers == 1:
         counts = [_batch_outage_count(t) for t in tasks]
     else:
         counts = _pooled_counts(tasks, workers)
-    # the tasks come line by line, the same number of batches for each line
-    batches = len(tasks) // len(lines)
+    # the tasks come group by group, the same number of batches for each
+    batches = len(tasks) // len(groups)
     estimates = [None] * len(points)
-    for k, line in enumerate(lines.values()):
-        for i, per_scheme in zip(line, np.sum(counts[k * batches : (k + 1) * batches], axis=0)):
+    for k, group in enumerate(groups.values()):
+        totals = np.sum(counts[k * batches : (k + 1) * batches], axis=0)
+        for i, per_scheme in zip(group, totals):
             estimates[i] = tuple(OutageEstimate.from_count(int(c), trials, seed) for c in per_scheme)
     if not isinstance(scheme, tuple):
         estimates = [per_scheme[0] for per_scheme in estimates]

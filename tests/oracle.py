@@ -15,6 +15,11 @@ as the package once computed it, an alternating series in doubles that
 cancels at high SNR; at enough digits that same series is the exact
 reference ``mp_max_below_h1``.
 
+High SNR: ``asymptotic_outage`` is the leading term C*delta^d of each
+scheme's outage as gamma_s grows, with diversity order d = N for both relay
+schemes and 1 for direct, built from elementary sums that share nothing
+with the package's tails.
+
 Monte Carlo: ``whole_batch_outage_flags`` is the batch kernel drawing a
 batch's uniforms in one piece, the reference for the block-wise kernel.
 ``scalar_trial_outage`` is the scalar reference: it runs one trial at a
@@ -215,6 +220,57 @@ def mp_outage(params, scheme):
             )
         out["total"] = mpmath.fsum(out.values())
         return {field: float(x) for field, x in out.items()}
+
+
+def elementary_symmetric(xs):
+    """e_0..e_n of `xs`: e_j is the sum over all j-element subsets of the
+    product of their entries."""
+    e = [mpmath.mpf(1)]
+    for x in xs:
+        e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+def asymptotic_outage(params, scheme):
+    """Leading term C*delta^d of the outage as gamma_s -> infinity.
+
+    Direct (d = 1, delta the one-slot threshold): the link fails with
+    probability about delta*E[I]/sigma2_sd, where I = 1 under H0 and
+    1 + gamma_p*g_pd under H1, so C = (pi0 + pi1*(1 + gamma_p*sigma2_pd))/sigma2_sd.
+
+    Relay schemes (d = N): relay i fails the first hop with probability
+    about delta*s_i, where s_i = 1/sigma2_si under H0 and
+    (1 + gamma_p*sigma2_pi_i)/sigma2_si under H1.  Given k decoders, the
+    second hop fails with probability about (delta*I/sigma2_d)^k/D_k, with
+    D_k = k! for the multi-relay sum and 1 for the best-relay max, and
+    E[I^k] = M_k = sum_j C(k,j) j! (gamma_p*sigma2_pd)^j under H1 (1 under
+    H0).  Summing over the sets of N-k failed relays gives
+        C = sum_k (pi0*e_{N-k}(s^H0) + pi1*e_{N-k}(s^H1)*M_k) / (sigma2_d^k D_k),
+    with e the elementary symmetric sums; with equal variances
+    e_{N-k}(s) = C(N,k) s^(N-k)."""
+    post = params.posterior()
+    thr = params.snr_threshold()
+    v = params.variances
+    g = params.gamma_p
+    with mpmath.workdps(40):
+        pi0, pi1 = mpmath.mpf(post.pi0), mpmath.mpf(post.pi1)
+        if scheme is Scheme.DIRECT:
+            c = (pi0 + pi1 * (1 + g * mpmath.mpf(v.sigma2_pd))) / v.sigma2_sd
+            return float(c * thr.delta_direct)
+        n = params.n_relays
+        e0 = elementary_symmetric([1 / mpmath.mpf(s) for s in v.sigma2_si])
+        e1 = elementary_symmetric(
+            [(1 + g * mpmath.mpf(p)) / s for s, p in zip(v.sigma2_si, v.sigma2_pi)]
+        )
+        c = mpmath.mpf(0)
+        for k in range(n + 1):
+            m_k = mpmath.fsum(
+                math.comb(k, j) * mpmath.factorial(j) * (g * mpmath.mpf(v.sigma2_pd)) ** j
+                for j in range(k + 1)
+            )
+            d_k = mpmath.factorial(k) if scheme is Scheme.MULTI_RELAY else 1
+            c += (pi0 * e0[n - k] + pi1 * e1[n - k] * m_k) / (mpmath.mpf(v.sigma2_d) ** k * d_k)
+        return float(c * mpmath.mpf(thr.delta) ** n)
 
 
 def whole_batch_outage_flags(params, scheme, seed, batch_index):

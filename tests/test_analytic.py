@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -26,6 +27,7 @@ from cogrelay.specfun import reg_lower_gamma
 from oracle import (
     MAX_ORACLE_RELAYS,
     alternating_max_below_h1,
+    asymptotic_outage,
     enumerated_cardinality_pmf,
     enumerated_outage,
     mp_max_below_h1,
@@ -430,6 +432,55 @@ class TestOrderingsOverCliRange:
         assert_at_most(high_pd, low_pd)
         low_pf, high_pf = (outage_total(scheme, g_db, n, pd[1], f, gp_db) for f in pf)
         assert_at_most(low_pf, high_pf)
+
+
+# gamma_s from 50 dB to the top of the range the CLI accepts (gamma_s below
+# 10^308.3); each case stops at the first value below 1e-290
+ASYMPTOTE_DB = (50.0, 55.0, 60.0, 70.0, 80.0, 90.0, 100.0, 120.0, 150.0, 200.0,
+                300.0, 500.0, 1000.0, 1500.0, 2000.0, 2500.0, 2900.0, 3000.0)
+
+# |outage/asymptote - 1| <= K*delta + ASYMPTOTE_FLOOR, delta being the
+# scheme's own threshold (two-slot for the relay schemes, one-slot for
+# direct).  The next term of each expansion is O(delta); the worst
+# |ratio - 1|/delta over the cases below reads 87.6 (multi, N = 16
+# heterogeneous), 601 (best, N = 24) and 0.98 (direct, pd 0.65/pf 0.35).
+# The floor is the closed forms' stated relative accuracy, which the ratio
+# meets once K*delta falls below it.
+ASYMPTOTE_K = {Scheme.MULTI_RELAY: 200.0, Scheme.BEST_RELAY: 1000.0, Scheme.DIRECT: 2.0}
+ASYMPTOTE_FLOOR = 1e-13
+
+
+def assert_follows_asymptote(params, scheme):
+    """The closed form's ratio to C*delta^d stays within ASYMPTOTE_K*delta
+    of 1 from 50 dB up, until the value falls below 1e-290."""
+    tested = 0
+    for g_db in ASYMPTOTE_DB:
+        point = dataclasses.replace(params, gamma_s=db_to_linear(g_db))
+        asymptote = asymptotic_outage(point, scheme)
+        if asymptote < 1e-290:
+            break
+        thr = point.snr_threshold()
+        delta = thr.delta_direct if scheme is Scheme.DIRECT else thr.delta
+        ratio = OUTAGE[scheme](point).total / asymptote
+        assert abs(ratio - 1.0) <= ASYMPTOTE_K[scheme] * delta + ASYMPTOTE_FLOOR, (g_db, ratio)
+        tested += 1
+    assert tested >= 8  # every case reaches 120 dB
+
+
+@pytest.mark.parametrize("pd, pf", [(0.9, 0.1), (0.95, 0.05), (0.65, 0.35)])
+@pytest.mark.parametrize("scheme", list(Scheme))
+class TestHighSnrAsymptote:
+    """Diversity order and coding gain: every scheme's outage approaches
+    C*delta^d, with d = N for both relay schemes and 1 for direct."""
+
+    def test_homogeneous(self, scheme, pd, pf, make_params):
+        for n in range(1, 25):
+            assert_follows_asymptote(make_params(50.0, pd=pd, pf=pf, n_relays=n), scheme)
+
+    def test_heterogeneous(self, scheme, pd, pf, make_params):
+        variances = random_variances(np.random.default_rng(16), 16)
+        params = make_params(50.0, pd=pd, pf=pf, n_relays=16, variances=variances)
+        assert_follows_asymptote(params, scheme)
 
 
 class TestMultiRelayOutage:

@@ -291,6 +291,9 @@ LINE_GAMMAS = [(8.0,), (20.0, 0.0, 8.0, 0.0, -5.0), (60.0, 0.0, 40.0, 8.0, 40.0,
 # large H1 share
 SENSING = [(1.0, 0.0), (0.0, 0.1), (0.65, 0.35)]
 
+# the pairs of one draw group: the headline pair and the edge cases above
+GROUP_PAIRS = [(0.9, 0.1), *SENSING]
+
 
 class TestOutageMonotoneInSnr:
     # the kernel's early stop rests on this: at a higher gamma_s a trial can
@@ -307,6 +310,44 @@ class TestOutageMonotoneInSnr:
             for lower, higher in zip(flags, flags[1:]):
                 assert not np.any(higher & ~lower)
             assert flags[0].sum() > flags[-1].sum()
+
+
+# sensing pairs in increasing pi1 at p0 = 0.8
+PAIRS_BY_PI1 = [(1.0, 0.0), (0.95, 0.05), (0.9, 0.1), (0.65, 0.35), (0.0, 0.1)]
+
+
+class TestOutageMonotoneInSensing:
+    # a higher pi1 makes more trials H1 (u0 < pi1), and on an H1 trial the
+    # primary only raises the decode threshold and the outage limit; so at
+    # fixed N, seed and gamma_s a trial can only enter outage as pi1 grows,
+    # for each scheme, on the draw the pairs share
+    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("n_relays", [1, 6, 24])
+    def test_flags_at_higher_pi1_are_a_superset(self, n_relays, heterogeneous, make_params):
+        counts = 0
+        for g_db in (0.0, 8.0, 20.0):
+            points = tuple(
+                _line_points(make_params, heterogeneous, n_relays, (g_db,), pd=pd, pf=pf)[0]
+                for pd, pf in PAIRS_BY_PI1
+            )
+            pi1 = [p.posterior().pi1 for p in points]
+            assert pi1 == sorted(set(pi1))
+            flags = _batch_outage_flags(points, tuple(Scheme), 77, 1)
+            for lower, higher in zip(flags, flags[1:]):
+                assert not np.any(lower & ~higher)
+            counts = counts + flags.sum(axis=2)
+        # per scheme, the all-H1 pair sees more outage than the no-H1 pair
+        assert np.all(counts[0] < counts[-1])
+
+    def test_fused_estimates_rise_with_pi1(self, make_params):
+        # one call for every pair: the estimates never fall as pi1 grows,
+        # and (0.95, 0.05) sees strictly less outage than (0.65, 0.35)
+        points = tuple(make_params(15.0, pd=pd, pf=pf) for pd, pf in PAIRS_BY_PI1)
+        fused = estimate_outage(points, tuple(Scheme), 200_000, 31)
+        for k in range(len(Scheme)):
+            p_hat = [per_point[k].p_hat for per_point in fused]
+            assert p_hat == sorted(p_hat)
+            assert p_hat[1] < p_hat[3]
 
 
 class TestSweepLine:
@@ -336,6 +377,31 @@ class TestSweepLine:
                     for row, scheme in zip(per_point, schemes):
                         assert np.array_equal(row, reference[scheme][:rows])
 
+    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("n_relays", [1, 6, 9, 24])
+    def test_sensing_pairs_match_whole_batch_kernel(self, n_relays, heterogeneous, make_params):
+        # the early-stop lines of four sensing pairs share one draw, their
+        # points interleaved: each pair takes its own H1 rows from those of
+        # the largest pi1, runs its own early stop, and every point gets
+        # exactly the oracle's flags at that point alone
+        lines = [
+            _line_points(make_params, heterogeneous, n_relays, LINE_GAMMAS[-1], pd=pd, pf=pf)
+            for pd, pf in GROUP_PAIRS
+        ]
+        points = tuple(p for same_gamma in zip(*lines) for p in same_gamma)
+        whole = {p: {s: whole_batch_outage_flags(p, s, 77, 1) for s in Scheme} for p in set(points)}
+        for schemes in (
+            (Scheme.BEST_RELAY, Scheme.DIRECT, Scheme.MULTI_RELAY),
+            (Scheme.MULTI_RELAY,),
+            (Scheme.DIRECT,),
+        ):
+            for rows in (TRIALS_PER_BATCH, 1, 2049):
+                flags = _batch_outage_flags(points, schemes, 77, 1, rows=rows)
+                assert flags.shape == (len(points), len(schemes), rows)
+                for per_point, point in zip(flags, points):
+                    for row, scheme in zip(per_point, schemes):
+                        assert np.array_equal(row, whole[point][scheme][:rows])
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_tuple_matches_single_point_calls(self, workers, make_params):
         # 50,000 trials end in a partial batch
@@ -348,15 +414,23 @@ class TestSweepLine:
         assert best == tuple(per_point[2] for per_point in fused)
         assert estimate_outage(points[:1], schemes, 50_000, 17, workers=workers) == fused[:1]
 
+    @pytest.mark.parametrize(
+        "pairs", [((0.9, 0.1),), ((0.9, 0.1), (0.8, 0.2), (0.65, 0.35))],
+        ids=["one-pair", "three-pairs"],
+    )
     @pytest.mark.parametrize("relay_counts", [(6,), (4, 6)], ids=["one-line", "two-lines"])
     @pytest.mark.parametrize("trials", [50_000, 10**6])
     def test_line_draws_the_uniforms_of_its_trials_once(
-        self, trials, relay_counts, make_params, drawn_uniforms
+        self, trials, relay_counts, pairs, make_params, drawn_uniforms
     ):
         # the seven points of a line read the same trials: one draw per line,
-        # not seven, also when the points of two lines come interleaved
+        # not seven, also when the points of two lines come interleaved; and
+        # the lines of every sensing pair at one N share that draw too
         gammas_db = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-        points = tuple(make_params(g, n_relays=n) for g in gammas_db for n in relay_counts)
+        points = tuple(
+            make_params(g, pd=pd, pf=pf, n_relays=n)
+            for g in gammas_db for n in relay_counts for pd, pf in pairs
+        )
         estimate_outage(points, tuple(Scheme), trials, 3)
         assert sum(drawn_uniforms) == sum(trials * (3 * n + 3) for n in relay_counts)
 
@@ -375,6 +449,17 @@ class TestSweepLine:
         fused = estimate_outage(points, scheme, 50_000, 17, workers=workers)
         assert fused == tuple(estimate_outage(p, scheme, 50_000, 17) for p in points)
         assert fused[-1] == fused[3]
+
+    def test_points_of_other_rates_share_the_draw(self, make_params, drawn_uniforms):
+        # rate, like gamma_s and the sensing pair, moves only the thresholds:
+        # one draw group, and each entry still equals its single-point call
+        points = tuple(
+            make_params(g, pd=pd, rate=rate)
+            for g in (5.0, 20.0) for pd in (0.9, 0.7) for rate in (1.0, 0.5)
+        )
+        fused = estimate_outage(points, tuple(Scheme), 50_000, 17)
+        assert sum(drawn_uniforms) == 50_000 * (3 * 6 + 3)
+        assert fused == tuple(estimate_outage(p, tuple(Scheme), 50_000, 17) for p in points)
 
     def test_bad_point_tuples_are_refused(self, make_params):
         params = make_params(10.0)
@@ -428,15 +513,6 @@ class TestEstimator:
         est = estimate_outage(params, Scheme.DIRECT, 40_000, 21)
         assert est.p_hat == float(flags.mean())
         assert est.stderr == math.sqrt(est.p_hat * (1 - est.p_hat) / 40_000)
-
-    def test_better_sensing_estimates_lower_outage(self, make_params):
-        good = estimate_outage(
-            make_params(15.0, pd=0.95, pf=0.05), Scheme.MULTI_RELAY, 10**6, 31
-        )
-        poor = estimate_outage(
-            make_params(15.0, pd=0.65, pf=0.35), Scheme.MULTI_RELAY, 10**6, 31
-        )
-        assert good.p_hat < poor.p_hat
 
     def test_agrees_with_closed_form(self, make_params):
         params = make_params(10.0)
