@@ -81,6 +81,13 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
 
 
+def _interference_ratio(sigma2_p: float, gamma_p: float, delta: float, sigma2: float) -> float:
+    """r = sigma2_p*gamma_p*delta/sigma2: the mean interference part of an
+    H1 threshold over the mean signal gain.  It is 0 at delta = 0, also
+    where sigma2_p*gamma_p overflows, and inf where r overflows."""
+    return sigma2_p * gamma_p * delta / sigma2 if delta > 0.0 else 0.0
+
+
 def p_below_h0(delta: float, sigma2: float) -> float:
     """Pr(gain < delta) for an exponential gain of mean sigma2: 1 - e^{-delta/sigma2}."""
     _check_delta(delta)
@@ -95,11 +102,14 @@ def p_below_h1(delta: float, sigma2_s: float, sigma2_p: float, gamma_p: float) -
     gives 1 - e^{-delta/sigma2_s} / (1 + r) with r = sigma2_p*gamma_p*delta /
     sigma2_s.  Evaluated as (r - expm1(-delta/sigma2_s)) / (1 + r), a sum of
     nonnegative terms, so small-delta precision survives.  Recovers the
-    interference-free case as gamma_p -> 0.
+    interference-free case as gamma_p -> 0, and its limit 1 where r
+    overflows.
     """
     _check_delta(delta)
     _check_positive(sigma2_s=sigma2_s, sigma2_p=sigma2_p, gamma_p=gamma_p)
-    r = sigma2_p * gamma_p * delta / sigma2_s
+    r = _interference_ratio(sigma2_p, gamma_p, delta, sigma2_s)
+    if math.isinf(r):
+        return 1.0
     return (r - math.expm1(-delta / sigma2_s)) / (1.0 + r)
 
 
@@ -122,12 +132,18 @@ def p_sum_below_h1(
     with a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p).  The second term is
     ``scaled_upper_gamma_term``, a sum of nonnegative terms that stays finite
     where e^{c} or ((a + c)/a)^k alone would overflow; at delta = 0 both terms
-    are 0.
+    are 0.  Where sigma2_pd*gamma_p leaves the float range, c takes its
+    limit: inf where the product underflows to 0, and 0 where it overflows,
+    at which the second term is the whole upper tail 1 - P(k, a) and the
+    sum is 1 (0 at a = 0).
     """
     _check_delta(delta)
     _check_positive(sigma2_d=sigma2_d, sigma2_pd=sigma2_pd, gamma_p=gamma_p)
     a = delta / sigma2_d
-    c = 1.0 / (sigma2_pd * gamma_p)
+    interference = sigma2_pd * gamma_p
+    if math.isinf(interference):
+        return 1.0 if a > 0.0 else 0.0
+    c = 1.0 / interference if interference > 0.0 else math.inf
     return min(reg_lower_gamma(k, a) + scaled_upper_gamma_term(k, a, c), 1.0)
 
 
@@ -155,13 +171,16 @@ def p_max_below_h1(
         sum_{n=0}^{k} C(k,n) q^{k-n} c^n E[v^n]
 
     whose terms are all nonnegative: nothing cancels at high SNR, and at
-    delta = 0 every term is 0.
+    delta = 0 every term is 0.  Where k*r overflows, every E[v^n] is 1 to
+    double precision and the sum is its limit (q + c)^k = 1.
     """
     _check_delta(delta)
     _check_positive(sigma2_d=sigma2_d, sigma2_pd=sigma2_pd, gamma_p=gamma_p)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    r = sigma2_pd * gamma_p * delta / sigma2_d
+    r = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
+    if math.isinf(k * r):
+        return 1.0
     q = -math.expm1(-delta / sigma2_d)
     c = math.exp(-delta / sigma2_d)
     terms, moment = [], 1.0  # moment = E[v^n]
@@ -208,7 +227,7 @@ def _first_hop(params: SystemParams, delta: float) -> tuple[list, list]:
     for s2s, s2p in dict.fromkeys(relays):
         m = relays.count((s2s, s2p))
         success = math.exp(-delta / s2s)
-        r = s2p * params.gamma_p * delta / s2s
+        r = _interference_ratio(s2p, params.gamma_p, delta, s2s)
         h0.append((p_below_h0(delta, s2s), success, m))
         h1.append((p_below_h1(delta, s2s, s2p, params.gamma_p), success / (1.0 + r), m))
     return h0, h1

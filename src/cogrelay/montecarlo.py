@@ -8,7 +8,10 @@ the decode, sum and max tests depend on gains only.
 
 Each trial consumes one row of 3N+3 uniforms: the hypothesis, then the N
 source->relay, N primary->relay and N relay->destination gains, then the
-primary->destination and source->destination gains.
+primary->destination and source->destination gains.  The multi-relay
+test adds a trial's forwarded gains in relay index order, g_1 + g_2 + ...
++ g_N, left to right; that order fixes the sum's bits, and with them the
+flags, on any numpy release.
 
 Reproducibility contract: trial t consumes row t % TRIALS_PER_BATCH of a
 uniform matrix generated by a counter-based Philox stream keyed with
@@ -39,8 +42,8 @@ with it.
 Along a line (the points of one posterior), outage only shrinks as gamma_s
 grows, trial by trial and in floating point, not just in probability: the
 threshold delta falls, and every rounded step of the relay tests (the
-products delta*s, the forwarded gains g or +0.0, their fixed-order sum or
-exact max) is monotone in delta.  So the kernel runs each block's relay
+products delta*s, the forwarded gains g or +0.0, their sum in relay order
+or exact max) is monotone in delta.  So the kernel runs each block's relay
 tests of a line from the largest delta down and stops at the first point
 where no trial of the block is in relay outage; the points above it keep
 "no outage" for that block, which is what testing them would give (see
@@ -57,7 +60,6 @@ lives in ``model``, so the CLI checks it without importing numpy.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -135,24 +137,9 @@ def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
 
 def _column_sum(cols: np.ndarray) -> np.ndarray:
     """Row sums of the matrix whose columns are `cols` (shape (N, rows)),
-    added column by column in the order ``ndarray.sum(axis=1)`` adds each
-    row, so every sum has the same bits.
-
-    That order is numpy's pairwise summation: fewer than 8 terms are added
-    one after another; 8 or more go to 8 accumulators taking every 8th term,
-    which are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the
-    leftover terms are added one by one.  numpy splits rows of more than
-    128 terms in two first; the kernel's N is at most MAX_RELAYS = 24.
-    ``TestColumnSum`` pins this order against the installed numpy.
-    """
-    n = len(cols)
-    if n < 8:
-        return functools.reduce(np.add, cols)
-    acc = cols[:8].copy()
-    for j in range(8, n - n % 8, 8):
-        acc += cols[j : j + 8]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for col in cols[n - n % 8 :]:
+    added relay by relay in index order: ((c0 + c1) + c2) + ..."""
+    total = cols[0].copy()
+    for col in cols[1:]:
         total += col
     return total
 
@@ -197,10 +184,10 @@ def _batch_outage_flags(
     are the mask product g_id * decoded: a gain -mean*log1p(-u) with u in
     [0, 1) is finite and never -0.0, so the product is the gain itself or
     +0.0, the bits np.where(decoded, g_id, 0.0) gives.  The multi-relay sum
-    adds the relays in the order numpy uses for each row of
-    ``forwarded.sum(axis=1)`` on the trial-major matrix (see
-    ``_column_sum``), so each sum, and with it each flag, has the bits of
-    that row-wise sum; the max is exact in any order.
+    adds the relays one at a time in index order (``_column_sum``), so each
+    trial's sum, and with it each flag, has the bits of the left-to-right
+    sum g_1 + g_2 + ... + g_N of its forwarded gains; the max is exact in
+    any order.
 
     Early stop: the relay tests visit the points of each posterior from the
     largest delta (the lowest gamma_s) down, and stop after the first point
@@ -274,10 +261,6 @@ def _batch_outage_flags(
                 relay_limit = delta * interference
                 for k, scheme in relay_schemes:
                     if scheme is Scheme.MULTI_RELAY:
-                        # relay by relay in numpy's pairwise row order, which
-                        # sets the sum's bits; numpy's own row-wise sum makes
-                        # one short pairwise call per trial and is several
-                        # times slower
                         combined = _column_sum(forwarded)
                     else:
                         combined = np.maximum.reduce(forwarded, axis=0)
@@ -316,16 +299,21 @@ def outage_flags(
 
     Schemes share sample paths at equal (params, seed): comparing the arrays
     of two schemes compares them trial by trial on identical fading draws.
-    `trials` and `seed` must be integers (not bools), `trials` >= 1.
+    `params` must be one SystemParams and `scheme` one Scheme member, not a
+    tuple; `trials` and `seed` must be integers (not bools), `trials` >= 1.
     """
+    if isinstance(params, tuple) or isinstance(scheme, tuple):
+        raise ValueError("outage_flags takes one SystemParams and one Scheme, not tuples")
+    points = _requested_points(params)
+    schemes = _requested_schemes(scheme)
     trials = _integer("trials", trials)
     seed = _integer("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     out = np.empty(trials, dtype=bool)
-    for _, _, _, b, limit in _batch_tasks((params,), (scheme,), trials, seed):
+    for _, _, _, b, limit in _batch_tasks(points, schemes, trials, seed):
         start = b * TRIALS_PER_BATCH
-        flags = _batch_outage_flags((params,), (scheme,), seed, b, rows=limit)
+        flags = _batch_outage_flags(points, schemes, seed, b, rows=limit)
         out[start : start + limit] = flags[0, 0]
     return out
 

@@ -66,6 +66,9 @@ def reg_lower_gamma(k, x: float) -> float:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if math.isinf(x):
+        # every Poisson term e^{-x} x^m / m! is 0 in the limit
+        return 1.0
     if x >= k:
         # complement is O(1) here, no cancellation
         return 1.0 - math.fsum(_poisson_cdf_terms(k, x))
@@ -99,13 +102,16 @@ def scaled_upper_gamma_term(k, a: float, c: float) -> float:
     a Poisson pmf times a factor of at most 1 in each term, evaluated by
     Horner's rule in r.  Neither e^{c} nor ((a + c) / a)^k is ever formed, so
     the value is finite and keeps its relative precision for any c > 0 and
-    a >= 0; it is 0 at a = 0.
+    a >= 0; it is 0 at a = 0, at c = inf and in the limit a -> inf, where
+    e^{-a} takes every term with it.
     """
     k = _check_shape(k)
     if math.isnan(a) or a < 0.0:
         raise ValueError(f"a must be >= 0, got {a}")
     if math.isnan(c) or c <= 0.0:
         raise ValueError(f"c must be > 0, got {c}")
+    if math.isinf(a):
+        return 0.0
     r = a / (a + c)
     tail = 0.0
     for t in _poisson_cdf_terms(k, a):

@@ -27,7 +27,11 @@ time, drawing that trial's 3N+3 uniforms from the stream, mapping them to
 gains in the kernel's column layout and with the kernel's expressions, and
 applying the decode, sum and max tests to plain arrays.  Called
 TRIALS_PER_BATCH times on a batch's stream, it must reproduce the kernel's
-flags for that batch exactly.
+flags for that batch exactly.  Both add a trial's forwarded gains in relay
+index order, left to right, as the kernel does: the whole-batch oracle by
+``np.add.accumulate`` along each row, the scalar one by an explicit loop.
+Neither uses ``ndarray.sum`` (pairwise from 8 terms) or the builtin ``sum``
+(compensated from Python 3.12), whose bits differ.
 
 Sweep order: ``sorted_sweep_points`` builds the whole scheme x pair x N x
 gamma_s product and sorts it once, as the CLI once did; the streamed
@@ -297,7 +301,11 @@ def whole_batch_outage_flags(params, scheme, seed, batch_index):
     g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
     decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
     forwarded = np.where(decoded, g_id, 0.0)
-    combined = forwarded.sum(axis=1) if scheme is Scheme.MULTI_RELAY else forwarded.max(axis=1)
+    if scheme is Scheme.MULTI_RELAY:
+        # each row's running sum in relay order; the last one is the total
+        combined = np.add.accumulate(forwarded, axis=1)[:, -1]
+    else:
+        combined = forwarded.max(axis=1)
     return combined < thr.delta * interference
 
 
@@ -326,5 +334,10 @@ def scalar_trial_outage(gen, params, scheme):
     g_pi = exponential_from_uniform(u[n + 1 : 2 * n + 1], np.asarray(v.sigma2_pi))
     g_id = exponential_from_uniform(u[2 * n + 1 : 3 * n + 1], v.sigma2_d)
     forwarded = np.where(decoded_relays(params, g_si, g_pi, alpha), g_id, 0.0)
-    combined = forwarded.sum() if scheme is Scheme.MULTI_RELAY else forwarded.max()
+    if scheme is Scheme.MULTI_RELAY:
+        combined = forwarded[0]
+        for g in forwarded[1:]:
+            combined += g
+    else:
+        combined = forwarded.max()
     return bool(combined < thr.delta * interference)

@@ -22,6 +22,7 @@ from cogrelay.analytic import (
     p_sum_below_h0,
     p_sum_below_h1,
 )
+from cogrelay.cli import build_spec
 from cogrelay.model import ChannelVariances, Scheme, SystemParams, db_to_linear, snr_threshold
 from cogrelay.specfun import reg_lower_gamma
 from oracle import (
@@ -133,6 +134,15 @@ class TestFirstHopProbs:
             0.5369886120739263, rel=1e-12
         )
 
+    def test_h1_limits_where_the_ratio_leaves_the_float_range(self):
+        # r = sigma2_p*gamma_p*delta/sigma2_s overflows (a 1e-300 signal
+        # variance): the limit is 1, not inf/inf; at delta = 0 the value is
+        # 0 even where sigma2_p*gamma_p alone overflows
+        assert 0.2 * 1e10 * 30.0 / 1e-300 == math.inf
+        assert p_below_h1(30.0, 1e-300, 0.2, 1e10) == 1.0
+        assert 1e300 * 1e300 == math.inf
+        assert p_below_h1(0.0, 1.0, 1e300, 1e300) == 0.0
+
     def test_h1_collapses_without_interference(self):
         weak = p_below_h1(0.3, 1.0, 0.2, 1e-12)
         assert weak == pytest.approx(p_below_h0(0.3, 1.0), rel=1e-9)
@@ -222,6 +232,19 @@ class TestSecondHopSum:
             weak = p_sum_below_h1(0.4, 1.0, 0.2, 1e-9, k)
             assert weak == pytest.approx(p_sum_below_h0(0.4, 1.0, k), rel=1e-7)
 
+    @pytest.mark.parametrize("k", (1, 6, 24))
+    def test_limits_where_the_arguments_leave_the_float_range(self, k):
+        # a = delta/sigma2_d overflows: P(k, inf) = 1 and the interference
+        # term vanishes
+        assert p_sum_below_h0(30.0, 1e-308, k) == 1.0
+        assert p_sum_below_h1(30.0, 1e-308, 0.2, 10.0, k) == 1.0
+        # sigma2_pd*gamma_p underflows to 0 (c = inf): no interference left
+        assert 1e-320 * 1e-10 == 0.0
+        assert p_sum_below_h1(0.3, 1.0, 1e-320, 1e-10, k) == p_sum_below_h0(0.3, 1.0, k)
+        # it overflows (c = 0): the threshold is unbounded
+        assert p_sum_below_h1(0.3, 1.0, 1e300, 1e300, k) == 1.0
+        assert p_sum_below_h1(0.0, 1.0, 1e300, 1e300, k) == 0.0
+
 
 class TestSecondHopMax:
     def test_single_relay_equals_sum(self):
@@ -255,6 +278,16 @@ class TestSecondHopMax:
         got = p_max_below_h1(3e-4, 1.0, 0.2, 10.0, 6)
         assert got > 0.0
         assert_rel_close(got, float(mp_max_below_h1(3e-4, 1.0, 0.2, 10.0, 6)), rel=1e-13)
+
+    @pytest.mark.parametrize("k", (1, 6, 24))
+    def test_h1_limits_where_the_ratio_leaves_the_float_range(self, k):
+        # r overflows (a 1e-308 relay variance): every E[v^n] is 1 and the
+        # tail is its limit 1, not inf/inf
+        assert p_max_below_h1(30.0, 1e-308, 0.2, 10.0, k) == 1.0
+        # r = 1e307 is finite, and k*r overflows at k = 24; each E[v^n] is
+        # 1 to double precision
+        assert p_max_below_h1(1.0, 1.0, 1e300, 1e7, k) == pytest.approx(1.0, abs=1e-15)
+        assert p_max_below_h1(0.0, 1.0, 1e300, 1e300, k) == 0.0
 
     def test_max_never_exceeds_sum_probability(self):
         # max < x is implied by sum < x, so its probability dominates
@@ -432,6 +465,53 @@ class TestOrderingsOverCliRange:
         assert_at_most(high_pd, low_pd)
         low_pf, high_pf = (outage_total(scheme, g_db, n, pd[1], f, gp_db) for f in pf)
         assert_at_most(low_pf, high_pf)
+
+
+def scale(low_exponent, high_exponent):
+    """Positive floats 10^e, e uniform in [low_exponent, high_exponent]."""
+    return st.floats(min_value=low_exponent, max_value=high_exponent).map(lambda e: 10.0**e)
+
+
+# a variance anywhere in the range build_spec accepts, down to the subnormal
+# 1e-320
+variance = scale(-320.0, 308.0)
+
+
+@st.composite
+def accepted_configs(draw):
+    """A config build_spec accepts: every variance from 1e-320 to 1e308, per
+    relay for sigma2_si and sigma2_pi; gamma_p from -3200 to 3080 dB;
+    gamma_s from -3000 to 3080 dB; rates from 1e-20, where the two-slot
+    threshold rounds to 0, to 10."""
+    n = draw(relay_count)
+    return {
+        "gamma_s_db": [draw(st.floats(min_value=-3000.0, max_value=3080.0))],
+        "gamma_p_db": draw(st.floats(min_value=-3200.0, max_value=3080.0)),
+        "rate": draw(scale(-20.0, 1.0)),
+        "relay_counts": [n],
+        "sensing_pairs": [[draw(detection), draw(false_alarm)]],
+        "sigma2_si": draw(st.lists(variance, min_size=n, max_size=n)),
+        "sigma2_pi": draw(st.lists(variance, min_size=n, max_size=n)),
+        "sigma2_d": draw(variance),
+        "sigma2_pd": draw(variance),
+        "sigma2_sd": draw(variance),
+    }
+
+
+class TestWholeAcceptedRange:
+    @given(config=accepted_configs())
+    @settings(deadline=None)
+    def test_breakdown_is_a_probability(self, config):
+        # wherever a ratio, a second-hop argument or the interference scale
+        # leaves the float range, the closed forms take their limits; the
+        # parts are rounded, so a value near 1 may pass it by an ulp or two
+        params = build_spec(config).base
+        for scheme, outage in OUTAGE.items():
+            b = outage(params)
+            for field in BREAKDOWN_FIELDS:
+                value = getattr(b, field)
+                assert math.isfinite(value) and value >= 0.0, (scheme, field, value)
+                assert_at_most(value, 1.0)
 
 
 # gamma_s from 50 dB to the top of the range the CLI accepts (gamma_s below

@@ -449,6 +449,37 @@ class TestMainEntry:
             value = float(row.split(",")[5])
             assert math.isfinite(value) and 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"sigma2_si": 1e-300, "gamma_p_db": 100}, ["--gamma-s-db", "-10"]),
+            ({"gamma_p_db": 3080}, ["--gamma-s-db", "-10"]),
+            ({"sigma2_d": 1e-308}, ["--gamma-s-db", "-10"]),
+            ({"sigma2_sd": 1e-320}, []),
+            ({"sigma2_pd": 1e-320, "gamma_p_db": -40}, []),
+            ({"sigma2_pd": 1e10, "gamma_p_db": 3080}, []),
+            ({"rate": 1e-17, "sigma2_pd": 1e10, "gamma_p_db": 3080}, []),
+        ],
+        ids=["sigma2_si-1e-300", "gamma_p-3080-dB", "sigma2_d-1e-308", "sigma2_sd-1e-320",
+             "interference-underflow", "interference-overflow", "zero-threshold"],
+    )
+    def test_analytic_at_the_edge_of_the_accepted_range(self, config, flags, tmp_path, capsys):
+        # each config drives an interference ratio r, the second-hop
+        # argument delta/sigma2_d or sigma2_pd*gamma_p out of the float
+        # range (or the threshold to 0), where the closed forms take their
+        # limits instead of returning NaN or raising
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["analytic", "--config", str(cfg), *flags])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        lines = [line for line in captured.out.splitlines() if not line.startswith("#")]
+        assert len(lines) == 3
+        for line in lines:
+            values = [float(field.split("=")[1]) for field in line.split()[1:]]
+            assert len(values) == 5
+            assert all(0.0 <= v <= 1.0 for v in values), line
+
     def test_pd_pf_flags_replace_pairs(self, capsys):
         rc = main([
             "sweep", "--gamma-s-db", "10", "--scheme", "multi",

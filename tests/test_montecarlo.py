@@ -183,8 +183,7 @@ class TestTrialOutage:
         assert abs(emp - expected) <= 4.0 * math.sqrt(expected * (1 - expected) / 200_000)
 
 
-# every non-empty ordered subset of the schemes; a 1-tuple's id is its
-# scheme's name
+# every non-empty ordered subset of the schemes (15)
 SCHEME_TUPLES = [t for r in (1, 2, 3) for t in itertools.permutations(Scheme, r)]
 
 
@@ -207,72 +206,27 @@ def _kernel_params(make_params, heterogeneous, n_relays, **kwargs):
 # 1e6-trial and a 50k-trial run uses.
 PREFIX_ROWS = [1, 576, 848, 2047, 2048, 2049, 16383, 16384]
 
-
-def kernel_cases(test):
-    """Every ordered scheme subset, homogeneous and heterogeneous, N 1/6/24."""
-    test = pytest.mark.parametrize(
-        "schemes", SCHEME_TUPLES, ids=lambda t: "+".join(s.value for s in t)
-    )(test)
-    test = pytest.mark.parametrize(
-        "heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"]
-    )(test)
-    return pytest.mark.parametrize("n_relays", [1, 6, 24])(test)
+# the prefix calls' scheme tuples: the early stop is keyed on both relay
+# schemes, on multi alone, or (direct alone) on no relay scheme at all
+PREFIX_SCHEMES = [
+    (Scheme.BEST_RELAY, Scheme.DIRECT, Scheme.MULTI_RELAY),
+    (Scheme.MULTI_RELAY,),
+    (Scheme.DIRECT,),
+]
 
 
 class TestColumnSum:
-    # N 1-7 add the columns in turn, 8-24 use the 8 accumulators, with a
-    # leftover unless N is a multiple of 8
-    @pytest.mark.parametrize("n_relays", range(1, 25))
-    @pytest.mark.parametrize("rows", [1, 7, 2048])
-    def test_bits_equal_ndarray_sum(self, n_relays, rows):
-        # the multi-relay flags rest on these bits, so a numpy release that
-        # reorders its row sums fails here before it moves a CSV digest
-        rng = np.random.default_rng(n_relays * rows)
-        forwarded = exponential_from_uniform(rng.random((rows, n_relays)), 1.0)
-        forwarded *= rng.random((rows, n_relays)) < 0.6
-        expected = forwarded.sum(axis=1)
-        assert np.array_equal(_column_sum(forwarded.T).view(np.int64), expected.view(np.int64))
-
-
-class TestBlockedKernel:
-    @kernel_cases
-    def test_matches_whole_batch_kernel(self, schemes, heterogeneous, n_relays, make_params):
-        # each scheme's row equals the oracle for that scheme alone, whatever
-        # other schemes share the draw and in whatever order
-        params = _kernel_params(make_params, heterogeneous, n_relays)
-        for batch in (0, 1):
-            flags = _batch_outage_flags((params,), schemes, 4242, batch)
-            assert flags.shape == (1, len(schemes), TRIALS_PER_BATCH)
-            for row, scheme in zip(flags[0], schemes):
-                assert np.array_equal(row, whole_batch_outage_flags(params, scheme, 4242, batch))
-
-    @kernel_cases
-    def test_prefix_matches_whole_batch_kernel(self, schemes, heterogeneous, n_relays, make_params):
-        # drawing only the first `rows` rows leaves each of them as it is
-        params = _kernel_params(make_params, heterogeneous, n_relays)
-        whole = [whole_batch_outage_flags(params, s, 4242, 1) for s in schemes]
-        for rows in PREFIX_ROWS:
-            flags = _batch_outage_flags((params,), schemes, 4242, 1, rows=rows)
-            assert flags.shape == (1, len(schemes), rows)
-            for row, reference in zip(flags[0], whole):
-                assert np.array_equal(row, reference[:rows])
-
-    @pytest.mark.parametrize(
-        "pd, pf, pi1",
-        [(1.0, 0.0, 0.0), (0.0, 0.1, 1.0), (0.65, 0.35, 0.11864406779661017)],
-        ids=["no-h1-row", "all-h1-rows", "pd0.65-pf0.35"],
-    )
-    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
-    def test_h1_rows_edge_cases(self, pd, pf, pi1, heterogeneous, make_params):
-        # the primary's gains are transformed on H1 rows only: an empty H1
-        # index, one that covers every row, and a large H1 share
-        params = _kernel_params(make_params, heterogeneous, 6, pd=pd, pf=pf)
-        assert params.posterior().pi1 == pytest.approx(pi1, rel=1e-12, abs=0)
-        schemes = tuple(Scheme)
-        for rows in (TRIALS_PER_BATCH, 2049):
-            flags = _batch_outage_flags((params,), schemes, 99, 0, rows=rows)
-            for row, scheme in zip(flags[0], schemes):
-                assert np.array_equal(row, whole_batch_outage_flags(params, scheme, 99, 0)[:rows])
+    def test_adds_relays_in_index_order(self):
+        # the multi-relay flags rest on these bits: each trial's sum is the
+        # left-to-right sum of its relays, which ndarray.sum (pairwise from
+        # 8 terms on) does not give
+        rng = np.random.default_rng(24)
+        for n_relays in range(1, 25):
+            forwarded = exponential_from_uniform(rng.random((n_relays, 2048)), 1.0)
+            forwarded *= rng.random((n_relays, 2048)) < 0.6
+            expected = np.add.accumulate(forwarded, axis=0)[-1]
+            got = _column_sum(forwarded)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n_relays
 
 
 def _line_points(make_params, heterogeneous, n_relays, gammas_db, **kwargs):
@@ -287,12 +241,57 @@ def _line_points(make_params, heterogeneous, n_relays, gammas_db, **kwargs):
 # every case below (at N = 1 only 120 dB is free of relay outage)
 LINE_GAMMAS = [(8.0,), (20.0, 0.0, 8.0, 0.0, -5.0), (60.0, 0.0, 40.0, 8.0, 40.0, 120.0)]
 
-# the same edge cases as test_h1_rows_edge_cases: no H1 row, only H1 rows, a
-# large H1 share
+# sensing pairs with no H1 row, only H1 rows, and a large H1 share
 SENSING = [(1.0, 0.0), (0.0, 0.1), (0.65, 0.35)]
 
 # the pairs of one draw group: the headline pair and the edge cases above
 GROUP_PAIRS = [(0.9, 0.1), *SENSING]
+
+
+def _check_kernel(points, schemes, batch, rows, reference):
+    """The kernel's flags for `points` equal reference[point, scheme], the
+    oracle's flags at that point alone, for every point and scheme."""
+    flags = _batch_outage_flags(points, schemes, 77, batch, rows=rows)
+    assert flags.shape == (len(points), len(schemes), rows)
+    for per_point, point in zip(flags, points):
+        for row, scheme in zip(per_point, schemes):
+            assert np.array_equal(row, reference[point, scheme][:rows])
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("n_relays", [1, 6, 24])
+    def test_matches_whole_batch_kernel(self, n_relays, heterogeneous, make_params):
+        # one draw group: every line of LINE_GAMMAS at each of the four
+        # GROUP_PAIRS, the points of all twelve lines interleaved.  Each
+        # pair takes its own H1 rows from those of the largest pi1 and runs
+        # its own early stop, and every point gets exactly the oracle's
+        # flags at that point alone: for every ordered scheme subset on the
+        # full batch, whatever other schemes share the draw and in whatever
+        # order, and on every prefix of PREFIX_ROWS
+        lines = [
+            _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
+            for gammas_db in LINE_GAMMAS
+            for pd, pf in GROUP_PAIRS
+        ]
+        interleaved = itertools.chain.from_iterable(itertools.zip_longest(*lines))
+        points = tuple(p for p in interleaved if p is not None)
+        whole = {(p, s): whole_batch_outage_flags(p, s, 77, 1) for p in set(points) for s in Scheme}
+        for schemes in SCHEME_TUPLES:
+            _check_kernel(points, schemes, 1, TRIALS_PER_BATCH, whole)
+        for schemes in PREFIX_SCHEMES:
+            for rows in PREFIX_ROWS[:-1]:
+                _check_kernel(points, schemes, 1, rows, whole)
+        # batch 0, each pair's 8 dB point alone in its call: alone, the
+        # no-H1 pair transforms no primary gain and the all-H1 pair every one
+        pi1 = []
+        for pd, pf in GROUP_PAIRS:
+            point = _kernel_params(make_params, heterogeneous, n_relays, pd=pd, pf=pf)
+            pi1.append(point.posterior().pi1)
+            alone = {(point, s): whole_batch_outage_flags(point, s, 77, 0) for s in Scheme}
+            for rows in (TRIALS_PER_BATCH, 2049):
+                _check_kernel((point,), PREFIX_SCHEMES[0], 0, rows, alone)
+        assert pi1 == pytest.approx([0.02702702702702703, 0.0, 1.0, 0.11864406779661017], rel=1e-12)
 
 
 class TestOutageMonotoneInSnr:
@@ -301,7 +300,7 @@ class TestOutageMonotoneInSnr:
     # reference kernel, which tests every point
     @pytest.mark.parametrize("pd, pf", SENSING, ids=["no-h1-row", "all-h1-rows", "pd0.65-pf0.35"])
     @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
-    @pytest.mark.parametrize("n_relays", [1, 6, 8, 24])
+    @pytest.mark.parametrize("n_relays", [1, 6, 24])
     def test_flags_at_higher_gamma_s_are_a_subset(self, n_relays, heterogeneous, pd, pf, make_params):
         gammas_db = (-5.0, 0.0, 8.0, 20.0, 40.0, 60.0)
         points = _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
@@ -351,57 +350,6 @@ class TestOutageMonotoneInSensing:
 
 
 class TestSweepLine:
-    @pytest.mark.parametrize("gammas_db", LINE_GAMMAS, ids=["one-point", "repeated", "early-stop"])
-    @pytest.mark.parametrize("pd, pf", SENSING, ids=["no-h1-row", "all-h1-rows", "pd0.65-pf0.35"])
-    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
-    # 8, 9, 12 and 17 are the edges of the multi-relay sum's branches
-    @pytest.mark.parametrize("n_relays", [1, 6, 8, 9, 12, 17, 24])
-    def test_points_match_whole_batch_kernel(
-        self, n_relays, heterogeneous, pd, pf, gammas_db, make_params
-    ):
-        # every point of a line sharing one draw gets exactly the flags of
-        # the oracle at that point alone, for the full batch and two prefixes;
-        # the early stop is keyed on both relay schemes, on multi alone, or
-        # (direct alone) on no relay scheme at all
-        points = _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
-        whole = [{s: whole_batch_outage_flags(p, s, 77, 1) for s in Scheme} for p in points]
-        for schemes in (
-            (Scheme.BEST_RELAY, Scheme.DIRECT, Scheme.MULTI_RELAY),
-            (Scheme.MULTI_RELAY,),
-            (Scheme.DIRECT,),
-        ):
-            for rows in (TRIALS_PER_BATCH, 1, 2049):
-                flags = _batch_outage_flags(points, schemes, 77, 1, rows=rows)
-                assert flags.shape == (len(points), len(schemes), rows)
-                for per_point, reference in zip(flags, whole):
-                    for row, scheme in zip(per_point, schemes):
-                        assert np.array_equal(row, reference[scheme][:rows])
-
-    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
-    @pytest.mark.parametrize("n_relays", [1, 6, 9, 24])
-    def test_sensing_pairs_match_whole_batch_kernel(self, n_relays, heterogeneous, make_params):
-        # the early-stop lines of four sensing pairs share one draw, their
-        # points interleaved: each pair takes its own H1 rows from those of
-        # the largest pi1, runs its own early stop, and every point gets
-        # exactly the oracle's flags at that point alone
-        lines = [
-            _line_points(make_params, heterogeneous, n_relays, LINE_GAMMAS[-1], pd=pd, pf=pf)
-            for pd, pf in GROUP_PAIRS
-        ]
-        points = tuple(p for same_gamma in zip(*lines) for p in same_gamma)
-        whole = {p: {s: whole_batch_outage_flags(p, s, 77, 1) for s in Scheme} for p in set(points)}
-        for schemes in (
-            (Scheme.BEST_RELAY, Scheme.DIRECT, Scheme.MULTI_RELAY),
-            (Scheme.MULTI_RELAY,),
-            (Scheme.DIRECT,),
-        ):
-            for rows in (TRIALS_PER_BATCH, 1, 2049):
-                flags = _batch_outage_flags(points, schemes, 77, 1, rows=rows)
-                assert flags.shape == (len(points), len(schemes), rows)
-                for per_point, point in zip(flags, points):
-                    for row, scheme in zip(per_point, schemes):
-                        assert np.array_equal(row, whole[point][scheme][:rows])
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_tuple_matches_single_point_calls(self, workers, make_params):
         # 50,000 trials end in a partial batch
@@ -553,6 +501,15 @@ class TestEstimator:
                 args = {"trials": 100, "seed": 1, name: bad}
                 with pytest.raises(ValueError, match=name):
                     outage_flags(params, Scheme.MULTI_RELAY, **args)
+        # Scheme is a str enum: "multi" must not pass for Scheme.MULTI_RELAY
+        # (the kernel tells the schemes apart by identity), and one call
+        # serves one point and one scheme
+        for bad in ("multi", "direct", None, (Scheme.MULTI_RELAY,), tuple(Scheme)):
+            with pytest.raises(ValueError, match="Scheme"):
+                outage_flags(params, bad, 100, 1)
+        for bad in ("10 dB", (params,), ()):
+            with pytest.raises(ValueError, match="SystemParams"):
+                outage_flags(bad, Scheme.MULTI_RELAY, 100, 1)
         assert outage_flags(params, Scheme.MULTI_RELAY, 1, 1).shape == (1,)
         assert np.array_equal(
             outage_flags(params, Scheme.MULTI_RELAY, np.int64(100), np.uint64(1)),

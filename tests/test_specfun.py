@@ -61,6 +61,12 @@ class TestRegLowerGamma:
             reg_lower_gamma(k, x) - step, abs=1e-12
         )
 
+    @pytest.mark.parametrize("k", [1, 6, 24])
+    def test_limit_at_infinite_x(self, k):
+        # x = delta/sigma2_d is inf once sigma2_d is tiny enough; every
+        # Poisson term e^{-x} x^m / m! is 0 there
+        assert reg_lower_gamma(k, math.inf) == 1.0
+
     @pytest.mark.parametrize("bad_x", [-1.0, -1e-9, math.nan])
     def test_rejects_negative_x(self, bad_x):
         with pytest.raises(ValueError):
@@ -159,6 +165,14 @@ class TestScaledUpperGammaTerm:
         if q >= 1e-7:
             naive = math.exp(c) * q * (a / (a + c)) ** k
             assert scaled_upper_gamma_term(k, a, c) == pytest.approx(naive, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 6, 24])
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 1e300, math.inf])
+    def test_limits_at_infinite_a_and_c(self, k, c):
+        # e^{-a} takes every term with it as a -> inf, and a/(a+c) vanishes
+        # as c -> inf (sigma2_pd*gamma_p underflowing to 0)
+        assert scaled_upper_gamma_term(k, math.inf, c) == 0.0
+        assert scaled_upper_gamma_term(k, 0.3, math.inf) == 0.0
 
     @pytest.mark.parametrize("bad", [(1, -0.1, 1.0), (1, 0.0, 0.0), (1, 0.0, -2.0), (0, 0.0, 1.0)])
     def test_domain_errors(self, bad):
