@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -216,17 +217,18 @@ PREFIX_SCHEMES = [
 
 
 class TestColumnSum:
-    def test_adds_relays_in_index_order(self):
+    @pytest.mark.parametrize("n_relays", range(1, 25))
+    @pytest.mark.parametrize("rows", [1, 7, 2048])
+    def test_adds_relays_in_index_order(self, n_relays, rows):
         # the multi-relay flags rest on these bits: each trial's sum is the
         # left-to-right sum of its relays, which ndarray.sum (pairwise from
         # 8 terms on) does not give
-        rng = np.random.default_rng(24)
-        for n_relays in range(1, 25):
-            forwarded = exponential_from_uniform(rng.random((n_relays, 2048)), 1.0)
-            forwarded *= rng.random((n_relays, 2048)) < 0.6
-            expected = np.add.accumulate(forwarded, axis=0)[-1]
-            got = _column_sum(forwarded)
-            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n_relays
+        rng = np.random.default_rng(n_relays * rows)
+        forwarded = exponential_from_uniform(rng.random((n_relays, rows)), 1.0)
+        forwarded *= rng.random((n_relays, rows)) < 0.6
+        expected = np.add.accumulate(forwarded, axis=0)[-1]
+        got = _column_sum(forwarded)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def _line_points(make_params, heterogeneous, n_relays, gammas_db, **kwargs):
@@ -248,50 +250,87 @@ SENSING = [(1.0, 0.0), (0.0, 0.1), (0.65, 0.35)]
 GROUP_PAIRS = [(0.9, 0.1), *SENSING]
 
 
-def _check_kernel(points, schemes, batch, rows, reference):
-    """The kernel's flags for `points` equal reference[point, scheme], the
-    oracle's flags at that point alone, for every point and scheme."""
+@functools.cache
+def _oracle_flags(point, scheme, batch):
+    """The oracle's flags at `point` alone for seed 77.  A draw group, its
+    lines and its prefixes ask for the same (point, scheme, batch) across
+    many cases, and each oracle call redraws the whole batch."""
+    return whole_batch_outage_flags(point, scheme, 77, batch)
+
+
+def _check_kernel(points, schemes, batch, rows):
+    """The kernel's flags for `points` equal the oracle's flags at each
+    point alone, for every point and scheme."""
     flags = _batch_outage_flags(points, schemes, 77, batch, rows=rows)
     assert flags.shape == (len(points), len(schemes), rows)
     for per_point, point in zip(flags, points):
         for row, scheme in zip(per_point, schemes):
-            assert np.array_equal(row, reference[point, scheme][:rows])
+            assert np.array_equal(row, _oracle_flags(point, scheme, batch)[:rows])
+
+
+def _draw_group(make_params, heterogeneous, n_relays):
+    """One draw group: every line of LINE_GAMMAS at each of the four
+    GROUP_PAIRS, the points of all twelve lines interleaved."""
+    lines = [
+        _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
+        for gammas_db in LINE_GAMMAS
+        for pd, pf in GROUP_PAIRS
+    ]
+    interleaved = itertools.chain.from_iterable(itertools.zip_longest(*lines))
+    return tuple(p for p in interleaved if p is not None)
+
+
+def kernel_cases(test):
+    """Homogeneous and heterogeneous variances at N 1/6/24."""
+    test = pytest.mark.parametrize(
+        "heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"]
+    )(test)
+    return pytest.mark.parametrize("n_relays", [1, 6, 24])(test)
+
+
+def _schemes_id(schemes):
+    return "+".join(s.value for s in schemes)
 
 
 class TestBlockedKernel:
-    @pytest.mark.parametrize("heterogeneous", [False, True], ids=["homogeneous", "heterogeneous"])
-    @pytest.mark.parametrize("n_relays", [1, 6, 24])
-    def test_matches_whole_batch_kernel(self, n_relays, heterogeneous, make_params):
-        # one draw group: every line of LINE_GAMMAS at each of the four
-        # GROUP_PAIRS, the points of all twelve lines interleaved.  Each
-        # pair takes its own H1 rows from those of the largest pi1 and runs
-        # its own early stop, and every point gets exactly the oracle's
-        # flags at that point alone: for every ordered scheme subset on the
-        # full batch, whatever other schemes share the draw and in whatever
-        # order, and on every prefix of PREFIX_ROWS
-        lines = [
-            _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
-            for gammas_db in LINE_GAMMAS
-            for pd, pf in GROUP_PAIRS
-        ]
-        interleaved = itertools.chain.from_iterable(itertools.zip_longest(*lines))
-        points = tuple(p for p in interleaved if p is not None)
-        whole = {(p, s): whole_batch_outage_flags(p, s, 77, 1) for p in set(points) for s in Scheme}
-        for schemes in SCHEME_TUPLES:
-            _check_kernel(points, schemes, 1, TRIALS_PER_BATCH, whole)
-        for schemes in PREFIX_SCHEMES:
-            for rows in PREFIX_ROWS[:-1]:
-                _check_kernel(points, schemes, 1, rows, whole)
-        # batch 0, each pair's 8 dB point alone in its call: alone, the
-        # no-H1 pair transforms no primary gain and the all-H1 pair every one
-        pi1 = []
-        for pd, pf in GROUP_PAIRS:
-            point = _kernel_params(make_params, heterogeneous, n_relays, pd=pd, pf=pf)
-            pi1.append(point.posterior().pi1)
-            alone = {(point, s): whole_batch_outage_flags(point, s, 77, 0) for s in Scheme}
-            for rows in (TRIALS_PER_BATCH, 2049):
-                _check_kernel((point,), PREFIX_SCHEMES[0], 0, rows, alone)
-        assert pi1 == pytest.approx([0.02702702702702703, 0.0, 1.0, 0.11864406779661017], rel=1e-12)
+    # In a draw group each pair takes its own H1 rows from those of the
+    # largest pi1 and runs its own early stop, and every point gets exactly
+    # the oracle's flags at that point alone
+    @kernel_cases
+    @pytest.mark.parametrize("schemes", SCHEME_TUPLES, ids=_schemes_id)
+    def test_matches_whole_batch_kernel(self, schemes, heterogeneous, n_relays, make_params):
+        # whatever other schemes share the draw and in whatever order
+        points = _draw_group(make_params, heterogeneous, n_relays)
+        _check_kernel(points, schemes, 1, TRIALS_PER_BATCH)
+
+    @kernel_cases
+    @pytest.mark.parametrize("schemes", PREFIX_SCHEMES, ids=_schemes_id)
+    @pytest.mark.parametrize("rows", PREFIX_ROWS[:-1])
+    def test_prefix_matches_whole_batch_kernel(
+        self, rows, schemes, heterogeneous, n_relays, make_params
+    ):
+        # drawing only the first `rows` rows leaves each of them as it is
+        points = _draw_group(make_params, heterogeneous, n_relays)
+        _check_kernel(points, schemes, 1, rows)
+
+    @kernel_cases
+    @pytest.mark.parametrize(
+        "pd, pf, pi1",
+        [
+            (0.9, 0.1, 0.02702702702702703),
+            (1.0, 0.0, 0.0),
+            (0.0, 0.1, 1.0),
+            (0.65, 0.35, 0.11864406779661017),
+        ],
+        ids=["headline", "no-h1-row", "all-h1-rows", "pd0.65-pf0.35"],
+    )
+    def test_h1_rows_edge_cases(self, pd, pf, pi1, heterogeneous, n_relays, make_params):
+        # batch 0, the pair's 8 dB point alone in its call: alone, the no-H1
+        # pair transforms no primary gain and the all-H1 pair every one
+        point = _kernel_params(make_params, heterogeneous, n_relays, pd=pd, pf=pf)
+        assert point.posterior().pi1 == pytest.approx(pi1, rel=1e-12, abs=0)
+        for rows in (TRIALS_PER_BATCH, 2049):
+            _check_kernel((point,), PREFIX_SCHEMES[0], 0, rows)
 
 
 class TestOutageMonotoneInSnr:
@@ -350,6 +389,36 @@ class TestOutageMonotoneInSensing:
 
 
 class TestSweepLine:
+    @kernel_cases
+    @pytest.mark.parametrize("gammas_db", LINE_GAMMAS, ids=["one-point", "repeated", "early-stop"])
+    @pytest.mark.parametrize(
+        "pd, pf", GROUP_PAIRS, ids=["headline", "no-h1-row", "all-h1-rows", "pd0.65-pf0.35"]
+    )
+    def test_points_match_whole_batch_kernel(
+        self, pd, pf, gammas_db, heterogeneous, n_relays, make_params
+    ):
+        # one line alone in its call, so its own pair sets the H1 rows: every
+        # point sharing the draw gets exactly the flags of the oracle at that
+        # point alone, for the full batch and two prefixes, with the early
+        # stop keyed on both relay schemes, on multi alone, or on none
+        points = _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
+        for schemes in PREFIX_SCHEMES:
+            for rows in (TRIALS_PER_BATCH, 1, 2049):
+                _check_kernel(points, schemes, 1, rows)
+
+    @kernel_cases
+    def test_sensing_pairs_match_whole_batch_kernel(self, heterogeneous, n_relays, make_params):
+        # the early-stop lines of the four pairs share one draw, their points
+        # interleaved by gamma_s, without the other lines of a draw group
+        lines = [
+            _line_points(make_params, heterogeneous, n_relays, LINE_GAMMAS[-1], pd=pd, pf=pf)
+            for pd, pf in GROUP_PAIRS
+        ]
+        points = tuple(p for same_gamma in zip(*lines) for p in same_gamma)
+        for schemes in PREFIX_SCHEMES:
+            for rows in (TRIALS_PER_BATCH, 1, 2049):
+                _check_kernel(points, schemes, 1, rows)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_point_tuple_matches_single_point_calls(self, workers, make_params):
         # 50,000 trials end in a partial batch
