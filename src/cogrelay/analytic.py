@@ -17,6 +17,7 @@ terms only, so nothing cancels at high transmit SNR or at low.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import SystemParams
@@ -81,11 +82,32 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
 
 
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
+
+
 def _interference_ratio(sigma2_p: float, gamma_p: float, delta: float, sigma2: float) -> float:
     """r = sigma2_p*gamma_p*delta/sigma2: the mean interference part of an
-    H1 threshold over the mean signal gain.  It is 0 at delta = 0, also
-    where sigma2_p*gamma_p overflows, and inf where r overflows."""
-    return sigma2_p * gamma_p * delta / sigma2 if delta > 0.0 else 0.0
+    H1 threshold over the mean signal gain.  It is 0 at delta = 0 and inf
+    where r overflows.
+
+    The product is formed left to right wherever every partial result is a
+    normal float.  Where one leaves that range (sigma2_p*gamma_p overflowing
+    while r is moderate, say), r is formed from the sum of the operands'
+    base-2 logarithms instead: their integer parts, the binary exponents,
+    add exactly, and their mantissas multiply with the same roundings as
+    the direct product."""
+    if not delta > 0.0:
+        return 0.0
+    p = sigma2_p * gamma_p
+    q = p * delta
+    r = q / sigma2
+    if _NORMAL_MIN <= p and _NORMAL_MIN <= q and _NORMAL_MIN <= r <= _NORMAL_MAX:
+        return r
+    (m1, e1), (m2, e2), (m3, e3), (m4, e4) = map(math.frexp, (sigma2_p, gamma_p, delta, sigma2))
+    try:
+        return math.ldexp(m1 * m2 * m3 / m4, e1 + e2 + e3 - e4)
+    except OverflowError:
+        return math.inf
 
 
 def p_below_h0(delta: float, sigma2: float) -> float:

@@ -43,7 +43,6 @@ __all__ = [
     "SweepSpec",
     "ValidationReport",
     "build_spec",
-    "load_config",
     "main",
     "run_sweep",
     "run_validate",
@@ -83,7 +82,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Fully validated description of one experiment grid."""
+    """Fully validated description of one experiment grid.
+
+    ``lines`` holds one SystemParams per distinct (sensing pair, N) line, in
+    (pair, N) order, at the first gamma_s; every grid point is its line at
+    its own gamma_s."""
 
     gamma_s_db: tuple[float, ...]
     schemes: tuple[Scheme, ...]
@@ -91,57 +94,51 @@ class SweepSpec:
     relay_counts: tuple[int, ...]
     trials: int
     seed: int
-    base: SystemParams
+    lines: tuple[SystemParams, ...]
+
+    @property
+    def base(self) -> SystemParams:
+        """The first grid point: first sensing pair, first N, first gamma_s."""
+        return self.lines[0]
 
 
-def _require_probability(value, field: str) -> float:
+def _number(value, field: str) -> float:
     try:
-        v = float(value)
-    except (TypeError, ValueError):
+        return float(value) + 0.0  # -0.0 -> 0.0, printed "0"
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{field}: expected a number, got {value!r}") from None
-    if math.isnan(v) or not 0.0 <= v <= 1.0:
-        raise ConfigError(f"{field}: must be in [0,1], got {v}")
-    return v + 0.0  # -0.0 -> 0.0, printed "0"
-
-
-def _require_positive(value, field: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
-    if math.isnan(v) or math.isinf(v) or v <= 0.0:
-        raise ConfigError(f"{field}: must be finite and > 0, got {v}")
-    return v
 
 
 def _linear_snr(x_db: float, field: str) -> float:
-    """Linear form of a dB value, which must be finite and > 0."""
+    """Linear form of a dB value, which must be finite and nonzero."""
     try:
         v = db_to_linear(x_db)
     except OverflowError:
         v = math.inf
-    if not 0.0 < v < math.inf:
+    if v == 0.0 or not math.isfinite(v):
         raise ConfigError(f"{field}: {x_db:g} dB has no finite positive linear value")
     return v
 
 
 def _variance_vector(value, field: str, relay_counts: tuple[int, ...]) -> tuple[float, ...] | float:
     if isinstance(value, (list, tuple)):
-        vec = tuple(_require_positive(x, f"{field}[{i}]") for i, x in enumerate(value))
+        vec = tuple(_number(x, f"{field}[{i}]") for i, x in enumerate(value))
         if any(len(vec) != n for n in relay_counts):
             raise ConfigError(
                 f"{field}: per-relay list of length {len(vec)} does not match "
                 f"relay_counts {list(relay_counts)}; use a scalar or a single relay count"
             )
         return vec
-    return _require_positive(value, field)
+    return _number(value, field)
 
 
 def build_spec(data: dict) -> SweepSpec:
     """Validate a flat config mapping and assemble a SweepSpec.
 
     Unknown keys are rejected outright so typos cannot silently fall back to
-    defaults.
+    defaults.  This checks types, list shapes and the dB axes; the value
+    ranges are those of SystemParams and ChannelVariances, which every line
+    is built from before the first row.
     """
     unknown = sorted(set(data) - set(_DEFAULTS))
     if unknown:
@@ -152,10 +149,8 @@ def build_spec(data: dict) -> SweepSpec:
     axis = cfg["gamma_s_db"]
     if not isinstance(axis, (list, tuple)) or not axis:
         raise ConfigError("gamma_s_db: must be a non-empty list of dB values")
-    try:
-        gamma_s_db = tuple(float(x) + 0.0 for x in axis)  # -0.0 -> 0.0, printed "0"
-    except (TypeError, ValueError):
-        raise ConfigError(f"gamma_s_db: expected a list of numbers, got {axis!r}") from None
+    gamma_s_db = tuple(_number(x, f"gamma_s_db[{i}]") for i, x in enumerate(axis))
+    gamma_s = [_linear_snr(x, "gamma_s_db") for x in gamma_s_db]
 
     raw_schemes = cfg["schemes"]
     if not isinstance(raw_schemes, (list, tuple)) or not raw_schemes:
@@ -173,23 +168,20 @@ def build_spec(data: dict) -> SweepSpec:
     for i, pair in enumerate(raw_pairs):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"sensing_pairs[{i}]: expected a [pd, pf] pair, got {pair!r}")
-        sensing_pairs.append((
-            _require_probability(pair[0], f"sensing_pairs[{i}].pd (pd)"),
-            _require_probability(pair[1], f"sensing_pairs[{i}].pf (pf)"),
-        ))
+        sensing_pairs.append((_number(pair[0], f"sensing_pairs[{i}].pd"),
+                              _number(pair[1], f"sensing_pairs[{i}].pf")))
 
     raw_counts = cfg["relay_counts"]
     if not isinstance(raw_counts, (list, tuple)) or not raw_counts:
         raise ConfigError("relay_counts: must be a non-empty list")
-    relay_counts = []
     for n in raw_counts:
+        # checked here, not left to SystemParams: N sizes the variance tuples
         if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_RELAYS:
             raise ConfigError(
                 f"relay_counts: each N must be an integer in [1, {MAX_RELAYS}] "
                 f"(the cap bounds Monte Carlo batch memory), got {n!r}"
             )
-        relay_counts.append(n)
-    relay_counts = tuple(relay_counts)
+    relay_counts = tuple(raw_counts)
 
     trials = cfg["trials"]
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
@@ -198,49 +190,47 @@ def build_spec(data: dict) -> SweepSpec:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
 
-    p0 = _require_probability(cfg["p0"], "p0")
-    rate = _require_positive(cfg["rate"], "rate")
-    for x in gamma_s_db:
+    p0 = _number(cfg["p0"], "p0")
+    rate = _number(cfg["rate"], "rate")
+    gamma_p = _linear_snr(_number(cfg["gamma_p_db"], "gamma_p_db"), "gamma_p_db")
+    s2si = _variance_vector(cfg["sigma2_si"], "sigma2_si", relay_counts)
+    s2pi = _variance_vector(cfg["sigma2_pi"], "sigma2_pi", relay_counts)
+    s2d = _number(cfg["sigma2_d"], "sigma2_d")
+    s2pd = _number(cfg["sigma2_pd"], "sigma2_pd")
+    s2sd = _number(cfg["sigma2_sd"], "sigma2_sd")
+
+    # The model checks the values and names the field at fault; a line's
+    # error also gives the index of its sensing pair.
+    variances = {}
+    for n in dict.fromkeys(relay_counts):
         try:
-            delta = snr_threshold(rate, _linear_snr(x, "gamma_s_db")).delta
+            variances[n] = ChannelVariances(
+                sigma2_si=s2si if isinstance(s2si, tuple) else (s2si,) * n,
+                sigma2_pi=s2pi if isinstance(s2pi, tuple) else (s2pi,) * n,
+                sigma2_d=s2d, sigma2_pd=s2pd, sigma2_sd=s2sd,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    lines = {}
+    for (i, (pd, pf)), n in product(enumerate(sensing_pairs), variances):
+        try:
+            lines[pd, pf, n] = SystemParams(
+                p0=p0, pd=pd, pf=pf, gamma_s=gamma_s[0], gamma_p=gamma_p,
+                rate=rate, n_relays=n, variances=variances[n],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (sensing_pairs[{i}])") from None
+
+    # rate is finite and > 0 now, so only the power can fail, by overflowing
+    for x, g in zip(gamma_s_db, gamma_s):
+        try:
+            delta = snr_threshold(rate, g).delta
         except OverflowError:
             delta = math.inf
         if math.isinf(delta):
             raise ConfigError(
                 f"gamma_s_db: at {x:g} dB and rate {rate:g} the decode threshold is not finite"
             )
-    try:
-        gamma_p_db = float(cfg["gamma_p_db"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"gamma_p_db: expected a number, got {cfg['gamma_p_db']!r}") from None
-    gamma_p = _linear_snr(gamma_p_db, "gamma_p_db")
-
-    s2si = _variance_vector(cfg["sigma2_si"], "sigma2_si", relay_counts)
-    s2pi = _variance_vector(cfg["sigma2_pi"], "sigma2_pi", relay_counts)
-    s2d = _require_positive(cfg["sigma2_d"], "sigma2_d")
-    s2pd = _require_positive(cfg["sigma2_pd"], "sigma2_pd")
-    s2sd = _require_positive(cfg["sigma2_sd"], "sigma2_sd")
-
-    for i, (pd, pf) in enumerate(sensing_pairs):
-        if p0 * pd + (1.0 - p0) * pf <= 0.0:
-            raise ConfigError(
-                f"sensing_pairs[{i}]: p0*pd + (1-p0)*pf must be > 0, got pd={pd}, pf={pf}"
-            )
-    pd0, pf0 = sensing_pairs[0]
-    base_n = relay_counts[0]
-    try:
-        base = SystemParams(
-            p0=p0,
-            pd=pd0,
-            pf=pf0,
-            gamma_s=db_to_linear(gamma_s_db[0]),
-            gamma_p=gamma_p,
-            rate=rate,
-            n_relays=base_n,
-            variances=_make_variances(base_n, s2si, s2pi, s2d, s2pd, s2sd),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     return SweepSpec(
         gamma_s_db=gamma_s_db,
@@ -249,15 +239,7 @@ def build_spec(data: dict) -> SweepSpec:
         relay_counts=relay_counts,
         trials=trials,
         seed=seed,
-        base=base,
-    )
-
-
-def _make_variances(n, s2si, s2pi, s2d, s2pd, s2sd) -> ChannelVariances:
-    si = s2si if isinstance(s2si, tuple) else (s2si,) * n
-    pi = s2pi if isinstance(s2pi, tuple) else (s2pi,) * n
-    return ChannelVariances(
-        sigma2_si=si, sigma2_pi=pi, sigma2_d=s2d, sigma2_pd=s2pd, sigma2_sd=s2sd
+        lines=tuple(lines.values()),
     )
 
 
@@ -277,30 +259,8 @@ def _read_config(path: str) -> dict:
     return data
 
 
-def load_config(path: str) -> SweepSpec:
-    """Read and validate a JSON config file (schema: the _DEFAULTS keys)."""
-    return build_spec(_read_config(path))
-
-
-def _params_at(spec: SweepSpec, pd: float, pf: float, n: int, gamma_s_db: float) -> SystemParams:
-    base = spec.base
-    v = base.variances
-    if n == base.n_relays:
-        variances = v
-    else:
-        # build_spec only allows per-relay lists with a single relay count,
-        # so any other N here is guaranteed homogeneous
-        variances = ChannelVariances.homogeneous(
-            n, v.sigma2_si[0], v.sigma2_pi[0], v.sigma2_d, v.sigma2_pd, v.sigma2_sd
-        )
-    return replace(
-        base,
-        pd=pd,
-        pf=pf,
-        gamma_s=db_to_linear(gamma_s_db),
-        n_relays=n,
-        variances=variances,
-    )
+def _params_at(line: SystemParams, gamma_s_db: float) -> SystemParams:
+    return replace(line, gamma_s=db_to_linear(gamma_s_db))
 
 
 def analytic_outage(params: SystemParams, scheme: Scheme) -> OutageBreakdown:
@@ -371,12 +331,13 @@ def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
     worker is alive when a row is yielded.  A sweep with trials = 0 makes
     no call and never imports montecarlo; its rows stream from sweep_points,
     so the first row waits only for its own closed form."""
+    lines = {(p.pd, p.pf, p.n_relays): p for p in spec.lines}
     estimates: dict[tuple, OutageEstimate] = {}
     if spec.trials > 0:
         # the distinct grid points, in emission order
         grid = tuple(dict.fromkeys(p[1:] for p in sweep_points(spec)))
         fused = estimate_outage(
-            tuple(_params_at(spec, *q) for q in grid),
+            tuple(_params_at(lines[pd, pf, n], g) for pd, pf, n, g in grid),
             spec.schemes, spec.trials, spec.seed, workers=workers,
         )
         estimates = {
@@ -390,7 +351,7 @@ def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
             pd=pd,
             pf=pf,
             gamma_s_db=g,
-            analytic_outage=analytic_outage(_params_at(spec, pd, pf, n, g), scheme).total,
+            analytic_outage=analytic_outage(_params_at(lines[pd, pf, n], g), scheme).total,
             estimate=estimates.get(point),
         )
 
@@ -604,18 +565,17 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     return build_spec(data)
 
 
-def _first_point(spec: SweepSpec) -> tuple[float, float, int, float]:
-    pd, pf = spec.sensing_pairs[0]
-    return pd, pf, spec.relay_counts[0], spec.gamma_s_db[0]
+def _print_operating_point(spec: SweepSpec, out) -> None:
+    p = spec.base
+    print(f"# operating point: gamma_s={spec.gamma_s_db[0]:g} dB, pd={p.pd:g}, pf={p.pf:g}, "
+          f"N={p.n_relays}", file=out)
+    print(f"# {RATE_CONVENTION_NOTE}", file=out)
 
 
 def _cmd_analytic(spec: SweepSpec, args, out) -> int:
-    pd, pf, n, g = _first_point(spec)
-    params = _params_at(spec, pd, pf, n, g)
-    print(f"# operating point: gamma_s={g:g} dB, pd={pd:g}, pf={pf:g}, N={n}", file=out)
-    print(f"# {RATE_CONVENTION_NOTE}", file=out)
+    _print_operating_point(spec, out)
     for scheme in spec.schemes:
-        b = analytic_outage(params, scheme)
+        b = analytic_outage(spec.base, scheme)
         print(
             f"{scheme.value:>6}: total={b.total:.10g}  empty_h0={b.empty_h0:.10g}  "
             f"empty_h1={b.empty_h1:.10g}  nonempty_h0={b.nonempty_h0:.10g}  "
@@ -626,11 +586,8 @@ def _cmd_analytic(spec: SweepSpec, args, out) -> int:
 
 
 def _cmd_simulate(spec: SweepSpec, args, out) -> int:
-    pd, pf, n, g = _first_point(spec)
-    params = _params_at(spec, pd, pf, n, g)
-    print(f"# operating point: gamma_s={g:g} dB, pd={pd:g}, pf={pf:g}, N={n}", file=out)
-    print(f"# {RATE_CONVENTION_NOTE}", file=out)
-    estimates = estimate_outage(params, spec.schemes, spec.trials, spec.seed, workers=args.workers)
+    _print_operating_point(spec, out)
+    estimates = estimate_outage(spec.base, spec.schemes, spec.trials, spec.seed, workers=args.workers)
     for scheme, est in zip(spec.schemes, estimates):
         print(
             f"{scheme.value:>6}: p_hat={est.p_hat:.10g}  stderr={est.stderr:.10g}  "

@@ -12,6 +12,7 @@ from cogrelay.analytic import (
     OutageBreakdown,
     _cardinality_pmf,
     _first_hop,
+    _interference_ratio,
     outage_best_relay,
     outage_direct,
     outage_multi_relay,
@@ -142,6 +143,34 @@ class TestFirstHopProbs:
         assert p_below_h1(30.0, 1e-300, 0.2, 1e10) == 1.0
         assert 1e300 * 1e300 == math.inf
         assert p_below_h1(0.0, 1.0, 1e300, 1e300) == 0.0
+
+    def test_h1_moderate_ratio_past_an_overflowing_partial_product(self, make_params):
+        # sigma2_p*gamma_p overflows, yet r = sigma2_p*gamma_p*delta/sigma2_s
+        # is 3: the H1 first hop, its success and the max tail keep their
+        # values instead of the limit 1
+        delta, s2s, s2p, gp = 3e-308, 100.0, 1e300, 1e10
+        assert s2p * gp == math.inf
+        with mpmath.workdps(60):
+            r = mpmath.mpf(s2p) * gp * delta / s2s
+            success = mpmath.exp(-mpmath.mpf(delta) / s2s) / (1 + r)
+        assert_rel_close(p_below_h1(delta, s2s, s2p, gp), float(1 - success), rel=1e-15)
+        for k in (1, 2, 24):
+            ref = float(mp_max_below_h1(delta, s2s, s2p, gp, k))
+            assert_rel_close(p_max_below_h1(delta, s2s, s2p, gp, k), ref, rel=1e-14)
+        params = make_params(
+            gamma_p_db=100.0, n_relays=2, sigma2_si=s2s, sigma2_pi=s2p, sigma2_d=s2s, sigma2_pd=s2p
+        )
+        assert params.gamma_p == gp
+        _, [(fail, succ, m)] = _first_hop(params, delta)
+        assert m == 2
+        assert_rel_close(succ, float(success), rel=1e-15)
+        assert_rel_close(fail, float(1 - success), rel=1e-15)
+
+    def test_ratio_keeps_the_bits_of_the_left_to_right_product(self):
+        rng = np.random.default_rng(3)
+        for args in 10.0 ** rng.uniform(-60.0, 60.0, size=(500, 4)):
+            a, b, c, d = map(float, args)
+            assert _interference_ratio(a, b, c, d) == a * b * c / d
 
     def test_h1_collapses_without_interference(self):
         weak = p_below_h1(0.3, 1.0, 0.2, 1e-12)

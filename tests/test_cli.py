@@ -16,14 +16,13 @@ from cogrelay.cli import (
     ConfigError,
     build_spec,
     iter_sweep_rows,
-    load_config,
     main,
     run_sweep,
     run_validate,
     sweep_points,
     validate_points,
 )
-from cogrelay.model import Scheme, db_to_linear
+from cogrelay.model import ChannelVariances, Scheme, db_to_linear
 from oracle import sorted_sweep_points
 
 STUDY_CONFIG = {
@@ -58,18 +57,23 @@ class TestBuildSpec:
         assert base.variances.sigma2_pd == 0.2
         assert base.variances.sigma2_sd == 1.0
 
-    def test_minimal_config_file(self, tmp_path):
+    def test_minimal_config_file(self, tmp_path, monkeypatch, capsys):
+        from cogrelay import cli
+
+        specs = []
+        monkeypatch.setattr(cli, "build_spec", lambda data: specs.append(build_spec(data)) or specs[-1])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"gamma_s_db": [3.0, 9.0]}))
-        spec = load_config(str(path))
+        assert main(["analytic", "--config", str(path)]) == 0
+        [spec] = specs
         assert spec.gamma_s_db == (3.0, 9.0)
         assert spec.base.p0 == 0.8  # everything else defaulted
 
-    def test_parse_error_reports_location(self, tmp_path):
+    def test_parse_error_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"gamma_s_db": [1,\n  oops]}')
-        with pytest.raises(ConfigError, match="line 2"):
-            load_config(str(path))
+        assert main(["analytic", "--config", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="gamma_sdb"):
@@ -96,6 +100,11 @@ class TestBuildSpec:
             ({"p0": 1.5}, "p0"),
             ({"rate": 0}, "rate"),
             ({"sigma2_d": -1}, "sigma2_d"),
+            ({"sigma2_si": [1, 2, -1], "relay_counts": [3]}, "sigma2_si"),
+            ({"relay_counts": [0]}, "relay_counts"),
+            ({"sensing_pairs": [[0.9, 0.1], [math.nan, 0.1]]}, "pd .*sensing_pairs\\[1\\]"),
+            ({"sensing_pairs": [[0, 0]]}, "sensing_pairs\\[0\\]"),
+            ({"p0": 10**400}, "p0"),
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, field):
@@ -107,6 +116,30 @@ class TestBuildSpec:
             build_spec({"sigma2_si": [1.0, 2.0, 1.0], "relay_counts": [3, 6]})
         spec = build_spec({"sigma2_si": [1.0, 2.0, 1.0], "relay_counts": [3]})
         assert spec.base.variances.sigma2_si == (1.0, 2.0, 1.0)
+
+    def test_rows_reuse_one_line_per_pair_and_relay_count(self, monkeypatch):
+        # build_spec makes one ChannelVariances per N and one SystemParams
+        # per (pair, N) line; a row's params are its line at its gamma_s
+        from cogrelay import cli
+
+        built = []
+        check = ChannelVariances.__post_init__
+        monkeypatch.setattr(ChannelVariances, "__post_init__", lambda v: built.append(v) or check(v))
+        seen = []
+        real = cli.analytic_outage
+        monkeypatch.setattr(cli, "analytic_outage", lambda p, s: seen.append(p) or real(p, s))
+        spec = build_spec({**STUDY_CONFIG, "sensing_pairs": [[0.9, 0.1], [0.8, 0.2]]})
+        assert len(built) == len(spec.relay_counts) == 2
+        lines = {(p.pd, p.pf, p.n_relays): p for p in spec.lines}
+        assert len(lines) == len(spec.lines) == 2 * 2
+        assert spec.base is spec.lines[0]
+        rows = list(iter_sweep_rows(spec))
+        assert len(built) == 2
+        assert len(seen) == len(rows) == 3 * 2 * 2 * 7
+        for row, params in zip(rows, seen):
+            line = lines[row.pd, row.pf, row.n_relays]
+            assert params == dataclasses.replace(line, gamma_s=db_to_linear(row.gamma_s_db))
+            assert params.variances is line.variances
 
     def test_duplicate_schemes_collapse(self):
         spec = build_spec({"schemes": ["multi", "multi", "best"]})
@@ -210,7 +243,8 @@ class TestSweep:
             assert a == b
 
     def test_analytic_sweep_makes_no_estimate_call(self, monkeypatch):
-        # trials = 0: no call, and no SystemParams built ahead of a row
+        # trials = 0: no call, and no grid point's SystemParams built ahead
+        # of its row
         from cogrelay import cli
 
         built, calls = [], []
@@ -503,6 +537,12 @@ class TestMainEntry:
         pytest.param([], {"sensing_pairs": [[0.9, 0.1], [0, 0]]}, id="later-pair-never-fires"),
         pytest.param([], {"gamma_p_db": 1e308}, id="gamma-p-overflows"),
         pytest.param([], {"rate": 1000}, id="rate-overflows-threshold"),
+        pytest.param([], {"rate": 0}, id="rate-zero"),
+        pytest.param([], {"p0": 1.5}, id="p0-above-one"),
+        pytest.param([], {"p0": 10**400}, id="p0-beyond-float"),
+        pytest.param([], {"sensing_pairs": [[0.9, 0.1], [math.nan, 0.1]]}, id="later-pair-nan"),
+        pytest.param([], {"sigma2_si": [1, 2, -1], "relay_counts": [3]}, id="per-relay-negative"),
+        pytest.param([], {"relay_counts": [0]}, id="zero-relays"),
         pytest.param([], {"gamma_s_db": ["x"]}, id="non-numeric-axis"),
         pytest.param(["--pd", "0.9"], {"sensing_pairs": 5}, id="pd-flag-over-malformed-pairs"),
         pytest.param(["--workers", "100000"], None, id="workers-over-cap"),
