@@ -41,7 +41,6 @@ __all__ = [
 class OutageBreakdown:
     """Outage probability split by decoding-set emptiness and true hypothesis."""
 
-    total: float
     empty_h0: float
     empty_h1: float
     nonempty_h0: float
@@ -50,25 +49,13 @@ class OutageBreakdown:
     _TOL = 1e-12
 
     def __post_init__(self):
-        parts = (self.empty_h0, self.empty_h1, self.nonempty_h0, self.nonempty_h1)
-        for p in parts:
+        for p in (self.empty_h0, self.empty_h1, self.nonempty_h0, self.nonempty_h1):
             if not (-self._TOL <= p <= 1.0 + self._TOL):
                 raise ValueError(f"component out of [0,1]: {self}")
-        if abs(self.total - math.fsum(parts)) > self._TOL:
-            raise ValueError(f"total does not match component sum: {self}")
 
-    @classmethod
-    def from_components(
-        cls, empty_h0: float, empty_h1: float, nonempty_h0: float, nonempty_h1: float
-    ) -> "OutageBreakdown":
-        total = math.fsum((empty_h0, empty_h1, nonempty_h0, nonempty_h1))
-        return cls(
-            total=total,
-            empty_h0=empty_h0,
-            empty_h1=empty_h1,
-            nonempty_h0=nonempty_h0,
-            nonempty_h1=nonempty_h1,
-        )
+    @property
+    def total(self) -> float:
+        return math.fsum((self.empty_h0, self.empty_h1, self.nonempty_h0, self.nonempty_h1))
 
 
 def _check_positive(**kwargs) -> None:
@@ -256,13 +243,13 @@ def _first_hop(params: SystemParams, delta: float) -> tuple[list, list]:
 
 
 def _relay_scheme_outage(params: SystemParams, tail_h0, tail_h1) -> OutageBreakdown:
-    post = params.posterior()
-    delta = params.snr_threshold().delta
+    post = params.posterior
+    delta = params.snr_threshold.delta
     h0, h1 = _first_hop(params, delta)
     pmf0 = _cardinality_pmf(h0)
     pmf1 = _cardinality_pmf(h1)
     sizes = range(1, params.n_relays + 1)
-    return OutageBreakdown.from_components(
+    return OutageBreakdown(
         empty_h0=post.pi0 * pmf0[0],
         empty_h1=post.pi1 * pmf1[0],
         nonempty_h0=post.pi0 * math.fsum(pmf0[k] * tail_h0(k) for k in sizes),
@@ -276,7 +263,7 @@ def outage_multi_relay(params: SystemParams) -> OutageBreakdown:
     fails only when the *sum* of member gains falls below the threshold.
     """
     v = params.variances
-    delta = params.snr_threshold().delta
+    delta = params.snr_threshold.delta
     return _relay_scheme_outage(
         params,
         tail_h0=lambda k: p_sum_below_h0(delta, v.sigma2_d, k),
@@ -294,7 +281,7 @@ def outage_best_relay(params: SystemParams) -> OutageBreakdown:
     dominates the multi-relay one.
     """
     v = params.variances
-    delta = params.snr_threshold().delta
+    delta = params.snr_threshold.delta
     return _relay_scheme_outage(
         params,
         tail_h0=lambda k: p_max_below_h0(delta, v.sigma2_d, k),
@@ -309,10 +296,10 @@ def outage_direct(params: SystemParams) -> OutageBreakdown:
     (2^R - 1)/gamma_s rather than the two-slot (2^{2R} - 1)/gamma_s.  No
     decoding set exists; the empty-set components are reported as zero.
     """
-    post = params.posterior()
-    thr = params.snr_threshold()
+    post = params.posterior
+    thr = params.snr_threshold
     v = params.variances
-    return OutageBreakdown.from_components(
+    return OutageBreakdown(
         empty_h0=0.0,
         empty_h1=0.0,
         nonempty_h0=post.pi0 * p_below_h0(thr.delta_direct, v.sigma2_sd),

@@ -30,6 +30,7 @@ from .model import (
     ChannelVariances,
     Scheme,
     SystemParams,
+    _ThresholdNotFinite,
     db_to_linear,
     snr_threshold,
 )
@@ -103,10 +104,12 @@ class SweepSpec:
 
 
 def _number(value, field: str) -> float:
-    try:
-        return float(value) + 0.0  # -0.0 -> 0.0, printed "0"
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
+    if not isinstance(value, bool):  # JSON true and false are not numbers
+        try:
+            return float(value) + 0.0  # -0.0 -> 0.0, printed "0"
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{field}: expected a number, got {value!r}")
 
 
 def _linear_snr(x_db: float, field: str) -> float:
@@ -137,8 +140,9 @@ def build_spec(data: dict) -> SweepSpec:
 
     Unknown keys are rejected outright so typos cannot silently fall back to
     defaults.  This checks types, list shapes and the dB axes; the value
-    ranges are those of SystemParams and ChannelVariances, which every line
-    is built from before the first row.
+    ranges are those of the model, which checks the rate and the decode
+    threshold of the whole gamma_s axis, and every line, before the first
+    row.
     """
     unknown = sorted(set(data) - set(_DEFAULTS))
     if unknown:
@@ -199,18 +203,25 @@ def build_spec(data: dict) -> SweepSpec:
     s2pd = _number(cfg["sigma2_pd"], "sigma2_pd")
     s2sd = _number(cfg["sigma2_sd"], "sigma2_sd")
 
-    # The model checks the values and names the field at fault; a line's
+    # The model checks the values and names the field at fault.  The decode
+    # threshold is largest at the smallest gamma_s, and 2^(2R) overflows
+    # whatever gamma_s is, so one call there checks the whole axis; a line's
     # error also gives the index of its sensing pair.
     variances = {}
-    for n in dict.fromkeys(relay_counts):
-        try:
+    try:
+        for n in dict.fromkeys(relay_counts):
             variances[n] = ChannelVariances(
                 sigma2_si=s2si if isinstance(s2si, tuple) else (s2si,) * n,
                 sigma2_pi=s2pi if isinstance(s2pi, tuple) else (s2pi,) * n,
                 sigma2_d=s2d, sigma2_pd=s2pd, sigma2_sd=s2sd,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        snr_threshold(rate, min(gamma_s))
+    except _ThresholdNotFinite:
+        raise ConfigError(
+            f"gamma_s_db: at {min(gamma_s_db):g} dB and rate {rate:g} the decode threshold is not finite"
+        ) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     lines = {}
     for (i, (pd, pf)), n in product(enumerate(sensing_pairs), variances):
         try:
@@ -220,17 +231,6 @@ def build_spec(data: dict) -> SweepSpec:
             )
         except ValueError as exc:
             raise ConfigError(f"{exc} (sensing_pairs[{i}])") from None
-
-    # rate is finite and > 0 now, so only the power can fail, by overflowing
-    for x, g in zip(gamma_s_db, gamma_s):
-        try:
-            delta = snr_threshold(rate, g).delta
-        except OverflowError:
-            delta = math.inf
-        if math.isinf(delta):
-            raise ConfigError(
-                f"gamma_s_db: at {x:g} dB and rate {rate:g} the decode threshold is not finite"
-            )
 
     return SweepSpec(
         gamma_s_db=gamma_s_db,
@@ -254,6 +254,9 @@ def _read_config(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep to parse, or an integer over int()'s digit limit
+        raise ConfigError(f"{path}: cannot parse: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return data

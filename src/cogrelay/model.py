@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "MAX_RELAYS",
@@ -51,13 +51,14 @@ class Posterior:
     the sensor declaring a hole."""
 
     pi0: float
-    pi1: float
 
     def __post_init__(self):
-        if not (0.0 <= self.pi0 <= 1.0 and 0.0 <= self.pi1 <= 1.0):
-            raise ValueError(f"posterior probabilities out of [0,1]: {self}")
-        if abs(self.pi0 + self.pi1 - 1.0) > 1e-12:
-            raise ValueError(f"posterior does not sum to 1: {self}")
+        if not (0.0 <= self.pi0 <= 1.0):
+            raise ValueError(f"posterior probability out of [0,1]: {self}")
+
+    @property
+    def pi1(self) -> float:
+        return 1.0 - self.pi0
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,10 @@ class SnrThreshold:
 
     delta: float
     delta_direct: float
+
+
+class _ThresholdNotFinite(ValueError):
+    """``snr_threshold``'s error for a threshold beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,10 @@ class SystemParams:
     gamma_p   primary transmit SNR, linear
     rate      target data rate, bit/s/Hz
     n_relays  number of decode-and-forward relays
+
+    ``posterior`` and ``snr_threshold`` are derived at construction (and by
+    ``dataclasses.replace``) by the module functions of those names, which
+    check their inputs; they take no part in ==, hash or repr.
     """
 
     p0: float
@@ -148,20 +157,14 @@ class SystemParams:
     rate: float
     n_relays: int
     variances: ChannelVariances
+    posterior: Posterior = field(init=False, repr=False, compare=False)
+    snr_threshold: SnrThreshold = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("p0", "pd", "pf"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0,1], got {v}")
-        if self.p0 * self.pd + (1.0 - self.p0) * self.pf <= 0.0:
-            raise ValueError(
-                "sensing never declares a hole: p0*pd + (1-p0)*pf must be > 0"
-            )
-        for name in ("gamma_s", "gamma_p", "rate"):
-            v = getattr(self, name)
-            if not (v > 0.0) or math.isinf(v):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        object.__setattr__(self, "posterior", posterior(self.p0, self.pd, self.pf))
+        object.__setattr__(self, "snr_threshold", snr_threshold(self.rate, self.gamma_s))
+        if not (self.gamma_p > 0.0) or math.isinf(self.gamma_p):
+            raise ValueError(f"gamma_p must be finite and > 0, got {self.gamma_p}")
         if not 1 <= self.n_relays <= MAX_RELAYS:
             raise ValueError(
                 f"n_relays must be in [1, {MAX_RELAYS}] (the cap bounds Monte "
@@ -173,39 +176,38 @@ class SystemParams:
                 f"n_relays is {self.n_relays}"
             )
 
-    def posterior(self) -> Posterior:
-        return posterior(self.p0, self.pd, self.pf)
-
-    def snr_threshold(self) -> SnrThreshold:
-        return snr_threshold(self.rate, self.gamma_s)
-
 
 def posterior(p0: float, pd: float, pf: float) -> Posterior:
     """Bayes-invert the sensing outcome: Pr(H0 | declared free) and complement.
 
-    pi0 = p0*pd / (p0*pd + (1-p0)*pf).  Raises if the sensor can never declare
-    a hole (zero denominator).
+    pi0 = p0*pd / (p0*pd + (1-p0)*pf).  Raises if a probability leaves
+    [0, 1] or the sensor can never declare a hole (zero denominator).
     """
     for name, v in (("p0", p0), ("pd", pd), ("pf", pf)):
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{name} must be in [0,1], got {v}")
     denom = p0 * pd + (1.0 - p0) * pf
     if denom <= 0.0:
-        raise ValueError("sensing never declares a hole: p0*pd + (1-p0)*pf is 0")
-    pi0 = p0 * pd / denom
-    return Posterior(pi0=pi0, pi1=1.0 - pi0)
+        raise ValueError("sensing never declares a hole: p0*pd + (1-p0)*pf must be > 0")
+    return Posterior(pi0=p0 * pd / denom)
 
 
 def snr_threshold(rate: float, gamma_s: float) -> SnrThreshold:
-    """Decode thresholds on the fading gain scale for both rate conventions."""
-    if not (rate > 0.0):
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if not (gamma_s > 0.0):
-        raise ValueError(f"gamma_s must be > 0, got {gamma_s}")
-    return SnrThreshold(
-        delta=(2.0 ** (2.0 * rate) - 1.0) / gamma_s,
-        delta_direct=(2.0 ** rate - 1.0) / gamma_s,
-    )
+    """Decode thresholds on the fading gain scale for both rate conventions.
+
+    Raises unless rate and gamma_s are finite and > 0 and the (larger)
+    two-slot threshold is finite: 2^{2R} overflows from R = 512, and a
+    subnormal gamma_s overflows the quotient."""
+    for name, v in (("rate", rate), ("gamma_s", gamma_s)):
+        if not (v > 0.0) or math.isinf(v):
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    try:
+        delta = (2.0 ** (2.0 * rate) - 1.0) / gamma_s
+    except OverflowError:
+        delta = math.inf
+    if math.isinf(delta):
+        raise _ThresholdNotFinite(f"the decode threshold is not finite at rate {rate} and gamma_s {gamma_s}")
+    return SnrThreshold(delta=delta, delta_direct=(2.0 ** rate - 1.0) / gamma_s)
 
 
 def db_to_linear(x_db: float) -> float:

@@ -96,7 +96,6 @@ class OutageEstimate:
     """Monte Carlo point estimate with its binomial standard error."""
 
     p_hat: float
-    stderr: float
     trials: int
     seed: int
 
@@ -105,19 +104,14 @@ class OutageEstimate:
             raise ValueError(f"p_hat out of [0,1]: {self.p_hat}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        expected = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
-        if abs(self.stderr - expected) > 1e-15:
-            raise ValueError(f"stderr inconsistent with p_hat and trials: {self}")
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
 
     @classmethod
     def from_count(cls, count: int, trials: int, seed: int) -> "OutageEstimate":
-        p = count / trials
-        return cls(
-            p_hat=p,
-            stderr=math.sqrt(p * (1.0 - p) / trials),
-            trials=trials,
-            seed=seed,
-        )
+        return cls(p_hat=count / trials, trials=trials, seed=seed)
 
 
 def exponential_from_uniform(u, mean, out=None):
@@ -204,11 +198,10 @@ def _batch_outage_flags(
     Direct flags are computed for every point.
     """
     first = points[0]
-    thresholds = [p.snr_threshold() for p in points]
     # each posterior's points, from the largest delta down
     lines: dict[float, list[int]] = {}
-    for i in sorted(range(len(points)), key=lambda i: thresholds[i].delta, reverse=True):
-        lines.setdefault(points[i].posterior().pi1, []).append(i)
+    for i in sorted(range(len(points)), key=lambda i: points[i].snr_threshold.delta, reverse=True):
+        lines.setdefault(points[i].posterior.pi1, []).append(i)
     pi1_max = max(lines)
     n = first.n_relays
     v = first.variances
@@ -247,13 +240,13 @@ def _batch_outage_flags(
             if direct is not None:
                 for i in line:
                     out = flags[i, direct, block]
-                    np.less(g_sd, thresholds[i].delta_direct * interference, out=out)
+                    np.less(g_sd, points[i].snr_threshold.delta_direct * interference, out=out)
             if not relay_schemes:
                 continue
             g_si_h1 = g_si[:, h1]
             interference_pi = interference_pi_h1[:, in_h1]
             for i in line:
-                delta = thresholds[i].delta
+                delta = points[i].snr_threshold.delta
                 decoded = g_si > delta
                 decoded[:, h1] = g_si_h1 > delta * interference_pi
                 # the gain where the relay decoded, +0.0 where it did not

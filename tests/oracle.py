@@ -21,7 +21,9 @@ schemes and 1 for direct, built from elementary sums that share nothing
 with the package's tails.
 
 Monte Carlo: ``whole_batch_outage_flags`` is the batch kernel drawing a
-batch's uniforms in one piece, the reference for the block-wise kernel.
+batch's uniforms in one piece, the reference for the block-wise kernel;
+it draws and transforms each (seed, batch, variances) once and tests every
+point and scheme on that draw.
 ``scalar_trial_outage`` is the scalar reference: it runs one trial at a
 time, drawing that trial's 3N+3 uniforms from the stream, mapping them to
 gains in the kernel's column layout and with the kernel's expressions, and
@@ -38,6 +40,7 @@ gamma_s product and sorts it once, as the CLI once did; the streamed
 ``cli.sweep_points`` must yield the same points in the same order.
 """
 
+import functools
 import math
 
 import mpmath
@@ -86,7 +89,7 @@ def _subset_probabilities(fail):
 
 def _first_hop_failures(params):
     v = params.variances
-    delta = params.snr_threshold().delta
+    delta = params.snr_threshold.delta
     f0 = [p_below_h0(delta, s2) for s2 in v.sigma2_si]
     f1 = [
         p_below_h1(delta, s2s, s2p, params.gamma_p)
@@ -98,7 +101,7 @@ def _first_hop_failures(params):
 def enumerated_outage(params, scheme):
     """Outage breakdown of a relay scheme by summing over all decoding sets."""
     v = params.variances
-    delta = params.snr_threshold().delta
+    delta = params.snr_threshold.delta
     if scheme is Scheme.MULTI_RELAY:
         tail_h0 = lambda k: p_sum_below_h0(delta, v.sigma2_d, k)  # noqa: E731
         tail_h1 = lambda k: p_sum_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k)  # noqa: E731
@@ -117,11 +120,11 @@ def enumerated_outage(params, scheme):
                 terms.append(w * tail(k))
         return empty, math.fsum(terms)
 
-    post = params.posterior()
+    post = params.posterior
     f0, f1 = _first_hop_failures(params)
     empty0, sum0 = split(f0, tail_h0)
     empty1, sum1 = split(f1, tail_h1)
-    return OutageBreakdown.from_components(
+    return OutageBreakdown(
         empty_h0=post.pi0 * empty0,
         empty_h1=post.pi1 * empty1,
         nonempty_h0=post.pi0 * sum0,
@@ -131,7 +134,7 @@ def enumerated_outage(params, scheme):
 
 def enumerated_cardinality_pmf(params):
     """Decoding-set size distribution by summing subset probabilities per size."""
-    post = params.posterior()
+    post = params.posterior
     n = params.n_relays
     mixed = [[] for _ in range(n + 1)]
     for weight, fail in zip((post.pi0, post.pi1), _first_hop_failures(params)):
@@ -190,7 +193,7 @@ def mp_outage(params, scheme):
     are the exact references above.  The threshold is the package's float
     delta, so both sides start from the same input."""
     v = params.variances
-    delta = mpmath.mpf(params.snr_threshold().delta)
+    delta = mpmath.mpf(params.snr_threshold.delta)
     with mpmath.workdps(60):
         p0, pd, pf = (mpmath.mpf(x) for x in (params.p0, params.pd, params.pf))
         declared = p0 * pd + (1 - p0) * pf
@@ -252,8 +255,8 @@ def asymptotic_outage(params, scheme):
         C = sum_k (pi0*e_{N-k}(s^H0) + pi1*e_{N-k}(s^H1)*M_k) / (sigma2_d^k D_k),
     with e the elementary symmetric sums; with equal variances
     e_{N-k}(s) = C(N,k) s^(N-k)."""
-    post = params.posterior()
-    thr = params.snr_threshold()
+    post = params.posterior
+    thr = params.snr_threshold
     v = params.variances
     g = params.gamma_p
     with mpmath.workdps(40):
@@ -277,28 +280,45 @@ def asymptotic_outage(params, scheme):
         return float(c * mpmath.mpf(thr.delta) ** n)
 
 
+@functools.lru_cache(maxsize=4)
+def _whole_batch_gains(seed, batch_index, variances):
+    """One batch's hypothesis uniforms and its gains, each link in one pass,
+    as read-only arrays: (u0, g_pd, g_sd, g_si, g_pi, g_id).
+
+    They depend on the seed, the batch and the variances (which fix N)
+    only, so every point and scheme of a draw reads one draw and one
+    transform.  At N = 24 an entry holds about 10 MB; the cache keeps four."""
+    n = len(variances.sigma2_si)
+    u = batch_generator(seed, batch_index).random((TRIALS_PER_BATCH, 3 * n + 3))
+    arrays = (
+        u[:, 0].copy(),
+        exponential_from_uniform(u[:, 3 * n + 1], variances.sigma2_pd),
+        exponential_from_uniform(u[:, 3 * n + 2], variances.sigma2_sd),
+        exponential_from_uniform(u[:, 1 : n + 1], np.asarray(variances.sigma2_si)),
+        exponential_from_uniform(u[:, n + 1 : 2 * n + 1], np.asarray(variances.sigma2_pi)),
+        exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], variances.sigma2_d),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def whole_batch_outage_flags(params, scheme, seed, batch_index):
     """Outage flags of one batch from a single whole-matrix draw.
 
     This is the batch kernel as it stood before it drew its rows in blocks:
     all TRIALS_PER_BATCH rows of uniforms at once, then every link in one
-    pass.  The package kernel must reproduce it flag for flag.
+    pass (shared through ``_whole_batch_gains``), then the decode, sum and
+    max tests over the whole batch.  The package kernel must reproduce it
+    flag for flag.
     """
-    post = params.posterior()
-    thr = params.snr_threshold()
-    n = params.n_relays
-    v = params.variances
-    gen = batch_generator(seed, batch_index)
-    u = gen.random((TRIALS_PER_BATCH, 3 * n + 3))
-    alpha = (u[:, 0] < post.pi1).astype(np.float64)
-    g_pd = exponential_from_uniform(u[:, 3 * n + 1], v.sigma2_pd)
+    post = params.posterior
+    thr = params.snr_threshold
+    u0, g_pd, g_sd, g_si, g_pi, g_id = _whole_batch_gains(seed, batch_index, params.variances)
+    alpha = (u0 < post.pi1).astype(np.float64)
     interference = alpha * params.gamma_p * g_pd + 1.0
     if scheme is Scheme.DIRECT:
-        g_sd = exponential_from_uniform(u[:, 3 * n + 2], v.sigma2_sd)
         return g_sd < thr.delta_direct * interference
-    g_si = exponential_from_uniform(u[:, 1 : n + 1], np.asarray(v.sigma2_si))
-    g_pi = exponential_from_uniform(u[:, n + 1 : 2 * n + 1], np.asarray(v.sigma2_pi))
-    g_id = exponential_from_uniform(u[:, 2 * n + 1 : 3 * n + 1], v.sigma2_d)
     decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
     forwarded = np.where(decoded, g_id, 0.0)
     if scheme is Scheme.MULTI_RELAY:
@@ -313,14 +333,14 @@ def decoded_relays(params, g_si, g_pi, alpha):
     """Decode test of one trial: relay i decodes when g_si[i] beats
     delta*(alpha*gamma_p*g_pi[i] + 1), alpha being 1.0 under H1 (primary
     active) and 0.0 under H0."""
-    delta = params.snr_threshold().delta
+    delta = params.snr_threshold.delta
     return g_si > delta * (alpha * params.gamma_p * g_pi + 1.0)
 
 
 def scalar_trial_outage(gen, params, scheme):
     """Outage of the next trial on `gen`, computed one trial at a time."""
-    post = params.posterior()
-    thr = params.snr_threshold()
+    post = params.posterior
+    thr = params.snr_threshold
     n = params.n_relays
     v = params.variances
     u = gen.random(3 * n + 3)

@@ -93,8 +93,8 @@ def brute_force_outage(params, scheme, trials, rng):
     """Independent sample-path oracle built straight from numpy draws."""
     n = params.n_relays
     v = params.variances
-    post = params.posterior()
-    thr = params.snr_threshold()
+    post = params.posterior
+    thr = params.snr_threshold
     hyp1 = rng.random(trials) < post.pi1
     alpha = hyp1.astype(float)
     g_si = rng.exponential(1.0, (trials, n)) * np.asarray(v.sigma2_si)
@@ -568,7 +568,7 @@ def assert_follows_asymptote(params, scheme):
         asymptote = asymptotic_outage(point, scheme)
         if asymptote < 1e-290:
             break
-        thr = point.snr_threshold()
+        thr = point.snr_threshold
         delta = thr.delta_direct if scheme is Scheme.DIRECT else thr.delta
         ratio = OUTAGE[scheme](point).total / asymptote
         assert abs(ratio - 1.0) <= ASYMPTOTE_K[scheme] * delta + ASYMPTOTE_FLOOR, (g_db, ratio)
@@ -761,8 +761,8 @@ class TestDirectOutage:
 def cardinality_pmf(params):
     """Decoding-set size distribution given a declared hole: the pmfs of the
     interference-free and interfered first hops, mixed by the posterior."""
-    post = params.posterior()
-    h0, h1 = _first_hop(params, params.snr_threshold().delta)
+    post = params.posterior
+    h0, h1 = _first_hop(params, params.snr_threshold.delta)
     return [post.pi0 * a + post.pi1 * b for a, b in zip(_cardinality_pmf(h0), _cardinality_pmf(h1))]
 
 
@@ -817,12 +817,11 @@ class TestDecodingCardinalityPmf:
 
 
 class TestDomainTypes:
-    def test_breakdown_total_must_match(self):
-        with pytest.raises(ValueError, match="total"):
-            OutageBreakdown(
-                total=0.5, empty_h0=0.1, empty_h1=0.1, nonempty_h0=0.1, nonempty_h1=0.1
-            )
+    def test_breakdown_total_is_the_component_sum(self):
+        b = OutageBreakdown(empty_h0=0.1, empty_h1=0.2, nonempty_h0=0.3, nonempty_h1=1e-17)
+        assert b.total == math.fsum((0.1, 0.2, 0.3, 1e-17))
+        assert "total" not in repr(b)
 
     def test_breakdown_component_range(self):
         with pytest.raises(ValueError, match="component"):
-            OutageBreakdown.from_components(1.5, 0.0, 0.0, 0.0)
+            OutageBreakdown(1.5, 0.0, 0.0, 0.0)

@@ -105,11 +105,32 @@ class TestBuildSpec:
             ({"sensing_pairs": [[0.9, 0.1], [math.nan, 0.1]]}, "pd .*sensing_pairs\\[1\\]"),
             ({"sensing_pairs": [[0, 0]]}, "sensing_pairs\\[0\\]"),
             ({"p0": 10**400}, "p0"),
+            # JSON true and false are not numbers
+            ({"p0": True}, "p0: expected a number, got True"),
+            ({"gamma_s_db": [True, 10]}, "gamma_s_db\\[0\\]: expected a number"),
+            ({"sensing_pairs": [[True, False]]}, "sensing_pairs\\[0\\].pd: expected a number"),
+            ({"sigma2_d": True}, "sigma2_d: expected a number"),
+            ({"sigma2_si": [1, False], "relay_counts": [2]}, "sigma2_si\\[1\\]: expected a number"),
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
             build_spec(overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"gamma_s_db": [10, -3100]}, "at -3100 dB and rate 1 "),
+            ({"gamma_s_db": [10, -3079, 0]}, "at -3079 dB and rate 1 "),
+            ({"rate": 1000}, "at 0 dB and rate 1000 "),
+            ({"rate": 600, "gamma_s_db": [10, 5]}, "at 5 dB and rate 600 "),
+        ],
+    )
+    def test_infinite_threshold_names_the_axis_in_db(self, overrides, message):
+        # one model call at the smallest gamma_s checks the whole axis
+        with pytest.raises(ConfigError) as info:
+            build_spec(overrides)
+        assert str(info.value) == f"gamma_s_db: {message}the decode threshold is not finite"
 
     def test_per_relay_lists_need_single_relay_count(self):
         with pytest.raises(ConfigError, match="sigma2_si"):
@@ -532,7 +553,12 @@ class TestMainEntry:
         pytest.param(["--gamma-s-db", "0,-1e308"], None, id="later-point-underflows"),
         pytest.param(["--gamma-s-db", "1e308"], None, id="first-point-overflows"),
         pytest.param(["--gamma-s-db", "0,-3079"], None, id="infinite-threshold"),
+        pytest.param(["--gamma-s-db", "10,-3100"], None, id="subnormal-gamma-s"),
         pytest.param([], "missing", id="missing-config"),
+        pytest.param([], b"[" * 100_000 + b"]" * 100_000, id="config-nested-too-deep"),
+        pytest.param([], b'{"seed": 1' + b"0" * 5000 + b"}", id="config-integer-too-long"),
+        pytest.param([], {"p0": True}, id="bool-as-number"),
+        pytest.param([], {"sensing_pairs": [[True, False]]}, id="bool-pair"),
         pytest.param([], b"\xff\xfe{}", id="config-not-utf8"),
         pytest.param([], {"sensing_pairs": [[0.9, 0.1], [0, 0]]}, id="later-pair-never-fires"),
         pytest.param([], {"gamma_p_db": 1e308}, id="gamma-p-overflows"),

@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cogrelay import model
+from cogrelay.analytic import outage_best_relay, outage_direct, outage_multi_relay
 from cogrelay.model import (
     MAX_RELAYS,
     ChannelVariances,
@@ -13,6 +18,7 @@ from cogrelay.model import (
     posterior,
     snr_threshold,
 )
+from cogrelay.montecarlo import estimate_outage
 
 
 class TestPosterior:
@@ -50,9 +56,10 @@ class TestPosterior:
         pi0s = [posterior(0.7, 0.9, pf).pi0 for pf in pfs]
         assert all(a >= b - 1e-15 for a, b in zip(pi0s, pi0s[1:]))
 
-    def test_inconsistent_posterior_rejected(self):
-        with pytest.raises(ValueError):
-            Posterior(pi0=0.8, pi1=0.1)
+    def test_pi1_is_the_complement(self):
+        post = Posterior(pi0=0.8)
+        assert post.pi1 == 1.0 - 0.8
+        assert [f.name for f in dataclasses.fields(post)] == ["pi0"]
 
 
 class TestSnrThreshold:
@@ -76,10 +83,24 @@ class TestSnrThreshold:
         assert all(a.delta < b.delta and a.delta_direct < b.delta_direct
                    for a, b in zip(deltas, deltas[1:]))
 
-    @pytest.mark.parametrize("bad", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("bad", [
+        (0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+        (1.0, 0.0), (1.0, -2.0), (1.0, math.inf), (1.0, math.nan),
+    ])
     def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
             snr_threshold(*bad)
+
+    @pytest.mark.parametrize("rate, gamma_s", [(600.0, 1.0), (512.0, 1e300), (1.0, 1e-310)])
+    def test_threshold_must_be_finite(self, rate, gamma_s):
+        # 2^(2R) overflows from R = 512 whatever gamma_s is; a subnormal
+        # gamma_s overflows the quotient
+        with pytest.raises(ValueError, match="threshold"):
+            snr_threshold(rate, gamma_s)
+
+    def test_largest_finite_threshold(self):
+        thr = snr_threshold(511.5, 1.0)
+        assert math.isfinite(thr.delta) and thr.delta_direct < thr.delta
 
 
 class TestDbConversion:
@@ -138,8 +159,40 @@ class TestSystemParams:
     def test_valid_construction(self, make_params):
         params = make_params(10.0)
         assert params.gamma_s == pytest.approx(10.0)
-        assert params.posterior().pi0 == pytest.approx(0.9729729729729729)
-        assert params.snr_threshold().delta == pytest.approx(0.3)
+        assert params.posterior == posterior(0.8, 0.9, 0.1)
+        assert params.snr_threshold == snr_threshold(1.0, params.gamma_s)
+        assert params.snr_threshold.delta == pytest.approx(0.3)
+
+    def test_derived_attributes_stay_out_of_eq_hash_and_repr(self, make_params):
+        params = make_params(10.0)
+        copy = dataclasses.replace(params)
+        assert copy == params and hash(copy) == hash(params)
+        assert "posterior" not in repr(params) and "snr_threshold" not in repr(params)
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, posterior=posterior(0.5, 0.5, 0.5))
+        # pool workers receive points pickled, derived attributes included
+        unpickled = pickle.loads(pickle.dumps(params))
+        assert unpickled.posterior == params.posterior
+        assert unpickled.snr_threshold == params.snr_threshold
+
+    def test_each_derivation_runs_once_per_point(self, make_params, monkeypatch):
+        # construction and replace call each model function once; the
+        # closed forms and the Monte Carlo kernel only read the attributes
+        calls = Counter()
+        for name in ("posterior", "snr_threshold"):
+            real = getattr(model, name)
+            monkeypatch.setattr(
+                model, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args)
+            )
+        params = make_params(10.0)
+        assert calls == {"posterior": 1, "snr_threshold": 1}
+        point = dataclasses.replace(params, gamma_s=db_to_linear(20.0))
+        assert calls == {"posterior": 2, "snr_threshold": 2}
+        assert point.snr_threshold.delta < params.snr_threshold.delta
+        for outage in (outage_multi_relay, outage_best_relay, outage_direct):
+            outage(point)
+        estimate_outage((params, point), tuple(Scheme), 20_000, 1, workers=1)
+        assert calls == {"posterior": 2, "snr_threshold": 2}
 
     @pytest.mark.parametrize("field,value", [
         ("p0", 1.2), ("pd", -0.1), ("pf", 2.0),
@@ -153,6 +206,14 @@ class TestSystemParams:
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             SystemParams(**kwargs)
+
+    @pytest.mark.parametrize("rate, gamma_s", [(600.0, 1.0), (1.0, 1e-310)])
+    def test_threshold_must_be_finite(self, rate, gamma_s):
+        with pytest.raises(ValueError, match="threshold"):
+            SystemParams(
+                p0=0.8, pd=0.9, pf=0.1, gamma_s=gamma_s, gamma_p=10.0,
+                rate=rate, n_relays=2, variances=ChannelVariances.homogeneous(2),
+            )
 
     def test_sensing_that_never_fires(self):
         with pytest.raises(ValueError, match="never declares"):
