@@ -12,6 +12,10 @@ relay->destination sum is an Erlang tail, and the interference-perturbed
 versions integrate out the primary gain in closed form.  Every sum here,
 over decoding-set sizes and inside each second-hop tail, adds nonnegative
 terms only, so nothing cancels at high transmit SNR or at low.
+
+Nothing here checks its arguments: they are what a checked ``SystemParams``
+produces.  Thresholds delta are finite and >= 0, variances and gamma_p are
+finite and > 0, and each decoding-set size k is an int from 1 to N.
 """
 
 from __future__ import annotations
@@ -23,18 +27,7 @@ from dataclasses import dataclass
 from .model import SystemParams
 from .specfun import reg_lower_gamma, scaled_upper_gamma_term
 
-__all__ = [
-    "OutageBreakdown",
-    "outage_best_relay",
-    "outage_direct",
-    "outage_multi_relay",
-    "p_below_h0",
-    "p_below_h1",
-    "p_max_below_h0",
-    "p_max_below_h1",
-    "p_sum_below_h0",
-    "p_sum_below_h1",
-]
+__all__ = ["OutageBreakdown", "outage_best_relay", "outage_direct", "outage_multi_relay"]
 
 
 @dataclass(frozen=True)
@@ -56,17 +49,6 @@ class OutageBreakdown:
     @property
     def total(self) -> float:
         return math.fsum((self.empty_h0, self.empty_h1, self.nonempty_h0, self.nonempty_h1))
-
-
-def _check_positive(**kwargs) -> None:
-    for name, v in kwargs.items():
-        if not (v > 0.0) or math.isinf(v):
-            raise ValueError(f"{name} must be finite and > 0, got {v}")
-
-
-def _check_delta(delta: float) -> None:
-    if not (delta >= 0.0) or math.isinf(delta):
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
 
 
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
@@ -99,8 +81,6 @@ def _interference_ratio(sigma2_p: float, gamma_p: float, delta: float, sigma2: f
 
 def p_below_h0(delta: float, sigma2: float) -> float:
     """Pr(gain < delta) for an exponential gain of mean sigma2: 1 - e^{-delta/sigma2}."""
-    _check_delta(delta)
-    _check_positive(sigma2=sigma2)
     return -math.expm1(-delta / sigma2)
 
 
@@ -114,8 +94,6 @@ def p_below_h1(delta: float, sigma2_s: float, sigma2_p: float, gamma_p: float) -
     interference-free case as gamma_p -> 0, and its limit 1 where r
     overflows.
     """
-    _check_delta(delta)
-    _check_positive(sigma2_s=sigma2_s, sigma2_p=sigma2_p, gamma_p=gamma_p)
     r = _interference_ratio(sigma2_p, gamma_p, delta, sigma2_s)
     if math.isinf(r):
         return 1.0
@@ -124,8 +102,6 @@ def p_below_h1(delta: float, sigma2_s: float, sigma2_p: float, gamma_p: float) -
 
 def p_sum_below_h0(delta: float, sigma2_d: float, k: int) -> float:
     """Pr(sum of k relay->destination gains < delta): Erlang CDF at delta/sigma2_d."""
-    _check_delta(delta)
-    _check_positive(sigma2_d=sigma2_d)
     return reg_lower_gamma(k, delta / sigma2_d)
 
 
@@ -139,29 +115,22 @@ def p_sum_below_h1(
         P(k, a) + e^{c} Q(k, a + c) (a / (a + c))^k
 
     with a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p).  The second term is
-    ``scaled_upper_gamma_term``, a sum of nonnegative terms that stays finite
-    where e^{c} or ((a + c)/a)^k alone would overflow; at delta = 0 both terms
-    are 0.  Where sigma2_pd*gamma_p leaves the float range, c takes its
-    limit: inf where the product underflows to 0, and 0 where it overflows,
-    at which the second term is the whole upper tail 1 - P(k, a) and the
-    sum is 1 (0 at a = 0).
+    ``scaled_upper_gamma_term`` of r = a/(a + c), a sum of nonnegative terms
+    that stays finite where e^{c} or ((a + c)/a)^k alone would overflow; at
+    delta = 0 both terms are 0.  r is formed as rho/(1 + rho) from the
+    interference ratio rho = a/c (as in ``p_below_h1``), so it keeps its
+    digits where sigma2_pd*gamma_p leaves the float range but rho does not.
+    Where rho overflows, r takes its limit 1, the second term is the whole
+    upper tail 1 - P(k, a) and the sum is 1.
     """
-    _check_delta(delta)
-    _check_positive(sigma2_d=sigma2_d, sigma2_pd=sigma2_pd, gamma_p=gamma_p)
     a = delta / sigma2_d
-    interference = sigma2_pd * gamma_p
-    if math.isinf(interference):
-        return 1.0 if a > 0.0 else 0.0
-    c = 1.0 / interference if interference > 0.0 else math.inf
-    return min(reg_lower_gamma(k, a) + scaled_upper_gamma_term(k, a, c), 1.0)
+    rho = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
+    r = 1.0 if math.isinf(rho) else rho / (1.0 + rho)
+    return min(reg_lower_gamma(k, a) + scaled_upper_gamma_term(k, a, r), 1.0)
 
 
 def p_max_below_h0(delta: float, sigma2_d: float, k: int) -> float:
     """Pr(max of k relay->destination gains < delta) = (1 - e^{-delta/sigma2_d})^k."""
-    _check_delta(delta)
-    _check_positive(sigma2_d=sigma2_d)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     return (-math.expm1(-delta / sigma2_d)) ** k
 
 
@@ -183,10 +152,6 @@ def p_max_below_h1(
     delta = 0 every term is 0.  Where k*r overflows, every E[v^n] is 1 to
     double precision and the sum is its limit (q + c)^k = 1.
     """
-    _check_delta(delta)
-    _check_positive(sigma2_d=sigma2_d, sigma2_pd=sigma2_pd, gamma_p=gamma_p)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     r = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
     if math.isinf(k * r):
         return 1.0

@@ -138,6 +138,13 @@ def _column_sum(cols: np.ndarray) -> np.ndarray:
     return total
 
 
+# At the edges of the accepted range the float limits give the intended
+# flags, so numpy's warnings about them are silenced.  A gain or an
+# interference factor gamma_p*g + 1 whose exact value passes the float range
+# overflows to inf, which compares with every finite value as the exact value
+# does.  A zero threshold times an infinite factor is NaN, and a comparison
+# with NaN is False: no outage, as at delta = 0 no gain is below the threshold.
+@np.errstate(over="ignore", invalid="ignore")
 def _batch_outage_flags(
     points: tuple[SystemParams, ...],
     schemes: tuple[Scheme, ...],

@@ -1,13 +1,16 @@
+import contextlib
 import dataclasses
 import math
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
+from cogrelay import analytic
 from cogrelay.analytic import (
     OutageBreakdown,
     _cardinality_pmf,
@@ -185,11 +188,6 @@ class TestFirstHopProbs:
         got = p_below_h1(1.1, 0.7, 0.4, 3.0)
         assert got == pytest.approx(emp, abs=mc_tolerance(got, n))
 
-    @pytest.mark.parametrize("bad", [(-0.1, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_h0_domain(self, bad):
-        with pytest.raises(ValueError):
-            p_below_h0(*bad)
-
 
 class TestSecondHopSum:
     def test_zero_threshold(self):
@@ -255,6 +253,15 @@ class TestSecondHopSum:
             (1.0 + s2d / (s2pd * gp * delta)) ** k
         got = p_sum_below_h1(delta, s2d, s2pd, gp, k)
         assert abs(got - float(mp_sum_below_h1(delta, s2d, s2pd, gp, k))) <= 1e-14
+
+    @pytest.mark.parametrize("k", (1, 2, 6, 24))
+    def test_h1_moderate_ratio_past_an_overflowing_interference_scale(self, k):
+        # sigma2_pd*gamma_p = 1e309 overflows while a = delta/sigma2_d is
+        # 3e-309, so a/(a + c) = 0.75 is moderate; the tail returned its
+        # limit 1.0 here, above the best-relay tail
+        assert math.isinf(1e300 * 1e9)
+        got = p_sum_below_h1(0.3, 1e308, 1e300, 1e9, k)
+        assert_rel_close(got, float(mp_sum_below_h1(0.3, 1e308, 1e300, 1e9, k)), rel=1e-13)
 
     def test_h1_weak_interference_collapses_to_h0(self):
         for k in (1, 3, 6):
@@ -527,6 +534,42 @@ def accepted_configs(draw):
     }
 
 
+def is_threshold(x):
+    return 0.0 <= x < math.inf
+
+
+def is_scale(x):
+    return 0.0 < x < math.inf
+
+
+def is_shape(k):
+    return type(k) is int and k >= 1
+
+
+def is_argument(x):
+    # delta/sigma2_d, inf where the quotient overflows
+    return x >= 0.0
+
+
+def is_ratio(r):
+    return 0.0 <= r <= 1.0
+
+
+# what the closed forms and special functions assume of their arguments,
+# positionally: thresholds delta finite and >= 0, variances and gamma_p
+# finite and > 0, shapes ints >= 1, Erlang arguments >= 0, ratios in [0, 1]
+PRECONDITIONS = {
+    "p_below_h0": (is_threshold, is_scale),
+    "p_below_h1": (is_threshold, is_scale, is_scale, is_scale),
+    "p_sum_below_h0": (is_threshold, is_scale, is_shape),
+    "p_max_below_h0": (is_threshold, is_scale, is_shape),
+    "p_sum_below_h1": (is_threshold, is_scale, is_scale, is_scale, is_shape),
+    "p_max_below_h1": (is_threshold, is_scale, is_scale, is_scale, is_shape),
+    "reg_lower_gamma": (is_shape, is_argument),
+    "scaled_upper_gamma_term": (is_shape, is_argument, is_ratio),
+}
+
+
 class TestWholeAcceptedRange:
     @given(config=accepted_configs())
     @settings(deadline=None)
@@ -541,6 +584,42 @@ class TestWholeAcceptedRange:
                 value = getattr(b, field)
                 assert math.isfinite(value) and value >= 0.0, (scheme, field, value)
                 assert_at_most(value, 1.0)
+
+    @given(config=accepted_configs())
+    @example(config={"sigma2_d": 1e308, "sigma2_pd": 1e300, "gamma_p_db": 90,
+                     "gamma_s_db": [10], "relay_counts": [2]})
+    @settings(deadline=None)
+    def test_multi_at_most_best(self, config):
+        # at the example sigma2_pd*gamma_p overflows while a/(a + c) is
+        # moderate; the multi-relay sum tail once took its limit 1 there and
+        # put the multi-relay total above the best-relay one
+        params = build_spec(config).base
+        assert_at_most(outage_multi_relay(params).total, outage_best_relay(params).total)
+
+    @given(config=accepted_configs())
+    @settings(deadline=None)
+    def test_closed_forms_get_arguments_that_meet_their_preconditions(self, config):
+        # the tails and special functions check nothing, so every argument
+        # a checked SystemParams leads to must meet PRECONDITIONS.  The
+        # module attributes are patched in the body, not by the
+        # function-scoped monkeypatch fixture, which hypothesis' health check
+        # rejects
+        params = build_spec(config).base
+        with contextlib.ExitStack() as stack:
+            spies = {
+                name: stack.enter_context(
+                    mock.patch.object(analytic, name, wraps=getattr(analytic, name))
+                )
+                for name in PRECONDITIONS
+            }
+            for outage in OUTAGE.values():
+                outage(params)
+        for name, spy in spies.items():
+            holds = PRECONDITIONS[name]
+            assert spy.called, name
+            for args, kwargs in spy.call_args_list:
+                assert not kwargs and len(args) == len(holds), (name, args, kwargs)
+                assert all(h(arg) for h, arg in zip(holds, args)), (name, args)
 
 
 # gamma_s from 50 dB to the top of the range the CLI accepts (gamma_s below
@@ -825,3 +904,9 @@ class TestDomainTypes:
     def test_breakdown_component_range(self):
         with pytest.raises(ValueError, match="component"):
             OutageBreakdown(1.5, 0.0, 0.0, 0.0)
+
+    def test_breakdown_rejects_nan(self):
+        # the closed forms check nothing, so a NaN that reaches a component
+        # (reg_lower_gamma hands one on) is stopped here
+        with pytest.raises(ValueError, match="component"):
+            OutageBreakdown(0.0, 0.0, math.nan, 0.0)

@@ -535,6 +535,36 @@ class TestMainEntry:
             assert len(values) == 5
             assert all(0.0 <= v <= 1.0 for v in values), line
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"sigma2_pd": 1e308, "gamma_p_db": 3000},
+            {"sigma2_pd": 1e308, "gamma_p_db": 3000, "p0": 0},
+            {"sigma2_pd": 1e308, "gamma_p_db": 3000, "rate": 1e-20},
+        ],
+        ids=["interference-overflow", "primary-always-active", "zero-threshold"],
+    )
+    def test_sweep_at_the_edge_of_the_accepted_range(self, config, tmp_path, capsys):
+        # the kernel's primary gains and interference factors overflow to
+        # inf, and a zero threshold times an infinite factor is NaN; those
+        # limits are the intended ones, so no numpy warning is raised, and
+        # the estimates agree with the closed forms, exactly at 0 and 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["sweep", "--trials", "20000", "--n-relays", "3", "--gamma-s-db", "10",
+                   "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == "", captured.err
+        rows = [row.split(",") for row in captured.out.splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            analytic, mc, trials = float(row[5]), float(row[6]), int(row[8])
+            if analytic in (0.0, 1.0):
+                assert mc == analytic, row
+            else:
+                assert abs(mc - analytic) <= 4.0 * math.sqrt(analytic * (1.0 - analytic) / trials), row
+
     def test_pd_pf_flags_replace_pairs(self, capsys):
         rc = main([
             "sweep", "--gamma-s-db", "10", "--scheme", "multi",
