@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -104,12 +105,26 @@ class SweepSpec:
 
 
 def _number(value, field: str) -> float:
-    if not isinstance(value, bool):  # JSON true and false are not numbers
+    # JSON numbers only: true, false and strings are not numbers
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value) + 0.0  # -0.0 -> 0.0, printed "0"
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise ConfigError(f"{field}: expected a number, got {value!r}")
+
+
+def _integer(value, field: str, lo: int, hi: float, rule: str) -> int:
+    """`value` if it is an integer in [lo, hi]; ConfigError "field: rule" if not."""
+    if isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi:
+        return value
+    raise ConfigError(f"{field}: {rule}, got {value!r}")
+
+
+def _nonempty_list(value, field: str, of: str = "") -> list | tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{field}: must be a non-empty list{of}")
+    return value
 
 
 def _linear_snr(x_db: float, field: str) -> float:
@@ -150,49 +165,32 @@ def build_spec(data: dict) -> SweepSpec:
     cfg = dict(_DEFAULTS)
     cfg.update({k: v for k, v in data.items() if v is not None})
 
-    axis = cfg["gamma_s_db"]
-    if not isinstance(axis, (list, tuple)) or not axis:
-        raise ConfigError("gamma_s_db: must be a non-empty list of dB values")
+    axis = _nonempty_list(cfg["gamma_s_db"], "gamma_s_db", " of dB values")
     gamma_s_db = tuple(_number(x, f"gamma_s_db[{i}]") for i, x in enumerate(axis))
     gamma_s = [_linear_snr(x, "gamma_s_db") for x in gamma_s_db]
 
-    raw_schemes = cfg["schemes"]
-    if not isinstance(raw_schemes, (list, tuple)) or not raw_schemes:
-        raise ConfigError("schemes: must be a non-empty list")
+    raw_schemes = _nonempty_list(cfg["schemes"], "schemes")
     try:
         schemes = tuple(dict.fromkeys(Scheme(s) for s in raw_schemes))
     except ValueError:
         valid = ", ".join(s.value for s in Scheme)
         raise ConfigError(f"schemes: entries must be among {{{valid}}}, got {raw_schemes}") from None
 
-    raw_pairs = cfg["sensing_pairs"]
-    if not isinstance(raw_pairs, (list, tuple)) or not raw_pairs:
-        raise ConfigError("sensing_pairs: must be a non-empty list of [pd, pf] pairs")
     sensing_pairs = []
-    for i, pair in enumerate(raw_pairs):
+    for i, pair in enumerate(_nonempty_list(cfg["sensing_pairs"], "sensing_pairs", " of [pd, pf] pairs")):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ConfigError(f"sensing_pairs[{i}]: expected a [pd, pf] pair, got {pair!r}")
         sensing_pairs.append((_number(pair[0], f"sensing_pairs[{i}].pd"),
                               _number(pair[1], f"sensing_pairs[{i}].pf")))
 
-    raw_counts = cfg["relay_counts"]
-    if not isinstance(raw_counts, (list, tuple)) or not raw_counts:
-        raise ConfigError("relay_counts: must be a non-empty list")
-    for n in raw_counts:
-        # checked here, not left to SystemParams: N sizes the variance tuples
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_RELAYS:
-            raise ConfigError(
-                f"relay_counts: each N must be an integer in [1, {MAX_RELAYS}] "
-                f"(the cap bounds Monte Carlo batch memory), got {n!r}"
-            )
-    relay_counts = tuple(raw_counts)
-
-    trials = cfg["trials"]
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
-        raise ConfigError(f"trials: must be an integer >= 0 (0 = analytic only), got {trials!r}")
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed: must be an integer in [0, 2^64), got {seed!r}")
+    # checked here, not left to SystemParams: N sizes the variance tuples
+    relay_counts = tuple(
+        _integer(n, "relay_counts", 1, MAX_RELAYS, f"each N must be an integer in [1, {MAX_RELAYS}] "
+                 "(the cap bounds Monte Carlo batch memory)")
+        for n in _nonempty_list(cfg["relay_counts"], "relay_counts")
+    )
+    trials = _integer(cfg["trials"], "trials", 0, math.inf, "must be an integer >= 0 (0 = analytic only)")
+    seed = _integer(cfg["seed"], "seed", 0, 2**64 - 1, "must be an integer in [0, 2^64)")
 
     p0 = _number(cfg["p0"], "p0")
     rate = _number(cfg["rate"], "rate")
@@ -479,48 +477,63 @@ def run_validate(spec: SweepSpec, workers: int = 1) -> ValidationReport:
 # argument parsing
 
 
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+def _flag_value(text: str):
+    """A flag's text as a JSON file would hold it: an int where int() reads
+    it, else a float where float() reads it, else the stripped text.  It
+    rejects nothing: build_spec (main, for --workers) checks the value."""
+    text = text.strip()
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+def _flag_list(text: str) -> list:
+    return [_flag_value(x) for x in text.split(",") if x.strip()]
 
 
-def _parse_scheme_list(text: str) -> list[str]:
-    return [x.strip() for x in text.split(",") if x.strip() != ""]
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ConfigError, which main prints as one `error:`
+    line with exit code 2; reads "-" then a digit or "." as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A private argparse attribute; its stock pattern, ^-\d+$|^-\d*\.\d+$,
+        # takes "-10,0" and "-1e3" for unknown flags.  A test pins it.
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    # a flag whose dest is a config key overrides that key; pd and pf
+    # replace sensing_pairs (see _spec_from_args)
     parser.add_argument("--config", metavar="PATH", help="JSON config file (flags win over file values)")
-    parser.add_argument("--gamma-s-db", type=_parse_float_list, metavar="LIST",
+    parser.add_argument("--gamma-s-db", type=_flag_list, metavar="LIST",
                         help=f"secondary SNR sweep axis in dB (default {_DEFAULTS['gamma_s_db']})")
-    parser.add_argument("--scheme", type=_parse_scheme_list, metavar="LIST",
+    parser.add_argument("--scheme", dest="schemes", type=_flag_list, metavar="LIST",
                         help="subset of direct,best,multi (default all)")
-    parser.add_argument("--pd", type=float, metavar="F",
+    parser.add_argument("--pd", type=_flag_value, metavar="F",
                         help="detection probability of a hole (replaces sensing_pairs)")
-    parser.add_argument("--pf", type=float, metavar="F",
+    parser.add_argument("--pf", type=_flag_value, metavar="F",
                         help="false-alarm probability of a hole (replaces sensing_pairs)")
-    parser.add_argument("--n-relays", type=_parse_int_list, metavar="LIST",
+    parser.add_argument("--n-relays", dest="relay_counts", type=_flag_list, metavar="LIST",
                         help=f"relay counts to sweep (default {_DEFAULTS['relay_counts']})")
-    parser.add_argument("--trials", type=int, metavar="INT",
+    parser.add_argument("--trials", type=_flag_value, metavar="INT",
                         help="Monte Carlo trials per grid point (0 = analytic only)")
-    parser.add_argument("--seed", type=int, metavar="INT",
+    parser.add_argument("--seed", type=_flag_value, metavar="INT",
                         help=f"base RNG seed (default {_DEFAULTS['seed']})")
-    parser.add_argument("--workers", type=int, default=1, metavar="INT",
+    parser.add_argument("--workers", type=_flag_value, default=1, metavar="INT",
                         help=f"Monte Carlo worker processes, 1 to {MAX_WORKERS}; one pool "
                              "serves the whole run, and results are identical for any value")
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cogrelay",
         description=(
             "Outage probability of relay-assisted secondary transmission under "
@@ -547,24 +560,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     data = _read_config(args.config) if args.config else {}
-    if args.gamma_s_db is not None:
-        data["gamma_s_db"] = args.gamma_s_db
-    if args.scheme is not None:
-        data["schemes"] = args.scheme
+    data.update({k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None})
     if args.pd is not None or args.pf is not None:
         try:
             pd, pf = data.get("sensing_pairs", _DEFAULTS["sensing_pairs"])[0]
         except (TypeError, ValueError, IndexError, KeyError):
             pd = pf = None
-        pd = args.pd if args.pd is not None else pd
-        pf = args.pf if args.pf is not None else pf
-        data["sensing_pairs"] = [[pd, pf]]
-    if args.n_relays is not None:
-        data["relay_counts"] = args.n_relays
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.seed is not None:
-        data["seed"] = args.seed
+        data["sensing_pairs"] = [[pd if args.pd is None else args.pd, pf if args.pf is None else args.pf]]
     return build_spec(data)
 
 
@@ -613,12 +615,10 @@ def _cmd_validate(spec: SweepSpec, args, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         spec = _spec_from_args(args)
-        if not 1 <= args.workers <= MAX_WORKERS:
-            raise ConfigError(f"workers: must be an integer in [1, {MAX_WORKERS}], got {args.workers}")
+        _integer(args.workers, "workers", 1, MAX_WORKERS, f"must be an integer in [1, {MAX_WORKERS}]")
         # checked before --out is opened, which truncates it
         if args.command == "simulate" and spec.trials < 1:
             raise ConfigError("simulate needs --trials >= 1")

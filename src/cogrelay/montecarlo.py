@@ -73,8 +73,6 @@ __all__ = [
     "TRIALS_PER_BATCH",
     "OutageEstimate",
     "estimate_outage",
-    "exponential_from_uniform",
-    "outage_flags",
 ]
 
 TRIALS_PER_BATCH = 16384
@@ -292,6 +290,30 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _request(params, scheme, trials, seed):
+    """(points, schemes, trials, seed) as both entry points check them, with
+    `params` and `scheme` as tuples and the seed masked to 64 bits; a bad
+    argument raises ValueError."""
+    points = params if isinstance(params, tuple) else (params,)
+    if not points:
+        raise ValueError("params tuple must not be empty")
+    for p in points:
+        if not isinstance(p, SystemParams):
+            raise ValueError(f"params must be SystemParams, got {p!r}")
+    schemes = scheme if isinstance(scheme, tuple) else (scheme,)
+    if not schemes:
+        raise ValueError("scheme tuple must not be empty")
+    for s in schemes:
+        if not isinstance(s, Scheme):
+            raise ValueError(f"schemes must be Scheme members, got {s!r}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"scheme tuple repeats a scheme: {schemes}")
+    trials = _integer("trials", trials)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return points, schemes, trials, _integer("seed", seed) & _SEED_MASK
+
+
 def outage_flags(
     params: SystemParams, scheme: Scheme, trials: int, seed: int
 ) -> np.ndarray:
@@ -304,18 +326,8 @@ def outage_flags(
     """
     if isinstance(params, tuple) or isinstance(scheme, tuple):
         raise ValueError("outage_flags takes one SystemParams and one Scheme, not tuples")
-    points = _requested_points(params)
-    schemes = _requested_schemes(scheme)
-    trials = _integer("trials", trials)
-    seed = _integer("seed", seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    out = np.empty(trials, dtype=bool)
-    for _, _, _, b, limit in _batch_tasks(points, schemes, trials, seed):
-        start = b * TRIALS_PER_BATCH
-        flags = _batch_outage_flags(points, schemes, seed, b, rows=limit)
-        out[start : start + limit] = flags[0, 0]
-    return out
+    request = _request(params, scheme, trials, seed)
+    return np.concatenate([_batch_outage_flags(*task)[0, 0] for task in _batch_tasks(*request)])
 
 
 def _pooled_counts(tasks: list, workers: int) -> list[np.ndarray]:
@@ -328,28 +340,6 @@ def _pooled_counts(tasks: list, workers: int) -> list[np.ndarray]:
         # a failed or interrupted map may leave tasks queued: drop them, and
         # wait until every worker has exited
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _requested_schemes(scheme) -> tuple[Scheme, ...]:
-    schemes = scheme if isinstance(scheme, tuple) else (scheme,)
-    if not schemes:
-        raise ValueError("scheme tuple must not be empty")
-    for s in schemes:
-        if not isinstance(s, Scheme):
-            raise ValueError(f"schemes must be Scheme members, got {s!r}")
-    if len(set(schemes)) != len(schemes):
-        raise ValueError(f"scheme tuple repeats a scheme: {schemes}")
-    return schemes
-
-
-def _requested_points(params) -> tuple[SystemParams, ...]:
-    points = params if isinstance(params, tuple) else (params,)
-    if not points:
-        raise ValueError("params tuple must not be empty")
-    for p in points:
-        if not isinstance(p, SystemParams):
-            raise ValueError(f"params must be SystemParams, got {p!r}")
-    return points
 
 
 def estimate_outage(
@@ -381,13 +371,8 @@ def estimate_outage(
     holds anything but SystemParams, raises ValueError before any pool
     starts.
     """
-    points = _requested_points(params)
-    schemes = _requested_schemes(scheme)
-    trials = _integer("trials", trials)
-    seed = _integer("seed", seed) & _SEED_MASK
+    points, schemes, trials, seed = _request(params, scheme, trials, seed)
     workers = _integer("workers", workers)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     # the indices of each draw group's points, keyed by what the uniforms

@@ -34,6 +34,14 @@ def test_public_api_is_pinned_and_resolves():
         assert hasattr(cogrelay, name), name
 
 
+def test_montecarlo_exports_only_the_estimator():
+    # outage_flags and exponential_from_uniform stay importable for the
+    # tests and the benchmark, but are not exported
+    from cogrelay import montecarlo
+
+    assert set(montecarlo.__all__) == {"MAX_WORKERS", "TRIALS_PER_BATCH", "OutageEstimate", "estimate_outage"}
+
+
 def test_readme_library_example_uses_the_public_api_and_runs():
     code = library_example()
     imported = {

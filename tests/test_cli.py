@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -111,6 +112,11 @@ class TestBuildSpec:
             ({"sensing_pairs": [[True, False]]}, "sensing_pairs\\[0\\].pd: expected a number"),
             ({"sigma2_d": True}, "sigma2_d: expected a number"),
             ({"sigma2_si": [1, False], "relay_counts": [2]}, "sigma2_si\\[1\\]: expected a number"),
+            # nor are strings, even numeric ones
+            ({"p0": "0.8"}, "p0: expected a number, got '0.8'"),
+            ({"gamma_s_db": ["1e1"]}, "gamma_s_db\\[0\\]: expected a number, got '1e1'"),
+            ({"sigma2_d": " 2 "}, "sigma2_d: expected a number, got ' 2 '"),
+            ({"p0": "0.8", "gamma_s_db": ["1e1"], "sigma2_d": " 2 "}, "gamma_s_db\\[0\\]: expected a number"),
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, field):
@@ -604,6 +610,13 @@ class TestMainEntry:
         pytest.param(["--workers", "100000"], None, id="workers-over-cap"),
         pytest.param(["--out", "{tmp}/missing/x.csv"], None, id="out-missing-dir"),
         pytest.param(["--out", "{tmp}"], None, id="out-is-directory"),
+        pytest.param(["--pd", "abc"], None, id="pd-not-a-number"),
+        pytest.param(["--trials", "1e6"], None, id="trials-not-an-integer"),
+        pytest.param(["--n-relays", "2.5"], None, id="relay-count-not-an-integer"),
+        pytest.param(["--gamma-s-db", "x"], None, id="gamma-s-not-a-number"),
+        pytest.param(["--workers", "x"], None, id="workers-not-an-integer"),
+        pytest.param(["--bogus"], None, id="unknown-flag"),
+        pytest.param(["--pd"], None, id="missing-value"),
     ],
 )
 def test_bad_input_exits_2_before_any_output(tmp_path, flags, config):
@@ -627,6 +640,112 @@ def test_bad_input_exits_2_before_any_output(tmp_path, flags, config):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert proc.stdout == ""
+
+
+def test_missing_subcommand_is_one_error_line(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the following arguments are required: command\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--pd", "abc"], {"sensing_pairs": [["abc", 0.1]]}),
+        (["--pd", "1.5"], {"sensing_pairs": [[1.5, 0.1]]}),
+        (["--trials", "1.5"], {"trials": 1.5}),
+        (["--trials", "-3"], {"trials": -3}),
+        (["--n-relays", "4,0"], {"relay_counts": [4, 0]}),
+        (["--n-relays", "4,x"], {"relay_counts": [4, "x"]}),
+        (["--gamma-s-db", "10,x"], {"gamma_s_db": [10, "x"]}),
+        (["--gamma-s-db", "10,-3100"], {"gamma_s_db": [10, -3100]}),
+        (["--seed", "-1"], {"seed": -1}),
+        (["--seed", "2.0"], {"seed": 2.0}),
+    ],
+    ids=["pd-text", "pd-range", "trials-float", "trials-negative", "relay-count-zero",
+         "relay-count-text", "gamma-s-text", "gamma-s-threshold", "seed-negative", "seed-float"],
+)
+def test_flag_and_config_values_get_the_same_error(flags, config, tmp_path, capsys):
+    # a flag's text is read as the value a JSON file would hold, then
+    # checked by the same code
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", *flags]) == 2
+    from_flag = capsys.readouterr()
+    assert main(["sweep", "--config", str(path)]) == 2
+    from_file = capsys.readouterr()
+    assert from_flag.err == from_file.err
+    assert from_flag.err.startswith("error: ") and from_flag.err.count("\n") == 1
+    assert from_flag.out == from_file.out == ""
+
+
+@pytest.mark.parametrize(
+    "spaced", [["-10,0"], ["-1e3"], ["-.5,-1"], ["-1.5"], ["-10"]],
+    ids=["negative-list", "negative-exponent", "negative-fraction", "negative-float", "negative-int"],
+)
+def test_spaced_negative_values_read_as_their_equals_form(spaced, capsys):
+    # The parser replaces argparse's private _negative_number_matcher, whose
+    # stock pattern reads "-10,0" and "-1e3" as unknown flags; this fails if
+    # argparse renames it
+    assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+    assert main(["sweep", "--scheme", "multi", "--gamma-s-db", *spaced]) == 0
+    spaced_csv = capsys.readouterr().out
+    assert main(["sweep", "--scheme", "multi", f"--gamma-s-db={spaced[0]}"]) == 0
+    assert spaced_csv == capsys.readouterr().out
+    assert len(spaced_csv.splitlines()) == 1 + len(spaced[0].split(","))
+
+
+HELP_OPTIONS = """\
+options:
+  -h, --help         show this help message and exit
+  --config PATH      JSON config file (flags win over file values)
+  --gamma-s-db LIST  secondary SNR sweep axis in dB (default [0.0, 5.0, 10.0,
+                     15.0, 20.0, 25.0, 30.0])
+  --scheme LIST      subset of direct,best,multi (default all)
+  --pd F             detection probability of a hole (replaces sensing_pairs)
+  --pf F             false-alarm probability of a hole (replaces
+                     sensing_pairs)
+  --n-relays LIST    relay counts to sweep (default [6])
+  --trials INT       Monte Carlo trials per grid point (0 = analytic only)
+  --seed INT         base RNG seed (default 12345)
+  --workers INT      Monte Carlo worker processes, 1 to 64; one pool serves
+                     the whole run, and results are identical for any value
+  --out PATH         write output to PATH instead of stdout
+"""
+
+# the usage wraps by the length of the command's name
+HELP_USAGE_8 = """\
+usage: cogrelay {name} [-h] [--config PATH] [--gamma-s-db LIST]
+                         [--scheme LIST] [--pd F] [--pf F] [--n-relays LIST]
+                         [--trials INT] [--seed INT] [--workers INT]
+                         [--out PATH]
+"""
+HELP_USAGE_SWEEP = """\
+usage: cogrelay sweep [-h] [--config PATH] [--gamma-s-db LIST] [--scheme LIST]
+                      [--pd F] [--pf F] [--n-relays LIST] [--trials INT]
+                      [--seed INT] [--workers INT] [--out PATH]
+"""
+
+
+@pytest.mark.parametrize(
+    "command, description",
+    [
+        ("analytic", "closed-form outage breakdown at the first grid point"),
+        ("simulate", "Monte Carlo outage estimate at the first grid point"),
+        ("sweep", "emit the full sweep grid as CSV"),
+        ("validate", "cross-check closed forms vs simulation; exit 0 on PASS"),
+    ],
+)
+def test_help_text_is_pinned(command, description, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    usage = HELP_USAGE_SWEEP if command == "sweep" else HELP_USAGE_8.format(name=command)
+    captured = capsys.readouterr()
+    assert captured.out == f"{usage}\n{description}\n\n{HELP_OPTIONS}"
+    assert captured.err == ""
 
 
 def test_closed_stdout_pipe_exits_1_without_traceback():
