@@ -48,7 +48,8 @@ class OutageBreakdown:
 
     @property
     def total(self) -> float:
-        return math.fsum((self.empty_h0, self.empty_h1, self.nonempty_h0, self.nonempty_h1))
+        # the parts are rounded, so their sum may pass 1 by a few ulps
+        return min(math.fsum((self.empty_h0, self.empty_h1, self.nonempty_h0, self.nonempty_h1)), 1.0)
 
 
 _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max

@@ -19,9 +19,8 @@ import math
 import os
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from itertools import product
 from typing import TYPE_CHECKING, Iterator
 
 from .analytic import OutageBreakdown, outage_best_relay, outage_direct, outage_multi_relay
@@ -86,14 +85,12 @@ class ConfigError(ValueError):
 class SweepSpec:
     """Fully validated description of one experiment grid.
 
-    ``lines`` holds one SystemParams per distinct (sensing pair, N) line, in
-    (pair, N) order, at the first gamma_s; every grid point is its line at
-    its own gamma_s."""
+    Every axis holds each value once, in the order first given.  ``lines``
+    holds one SystemParams per (sensing pair, N) line, in (pair, N) order,
+    at the first gamma_s; every grid point is its line at its own gamma_s."""
 
     gamma_s_db: tuple[float, ...]
     schemes: tuple[Scheme, ...]
-    sensing_pairs: tuple[tuple[float, float], ...]
-    relay_counts: tuple[int, ...]
     trials: int
     seed: int
     lines: tuple[SystemParams, ...]
@@ -104,21 +101,28 @@ class SweepSpec:
         return self.lines[0]
 
 
+def _shown(value) -> str:
+    """repr(value) for an error line, cut to its first 20 characters and its length when long."""
+    text = repr(value)
+    unit = "digits" if isinstance(value, int) else "characters"
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text.lstrip('-'))} {unit})"
+
+
 def _number(value, field: str) -> float:
     # JSON numbers only: true, false and strings are not numbers
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value) + 0.0  # -0.0 -> 0.0, printed "0"
         except OverflowError:
-            pass
-    raise ConfigError(f"{field}: expected a number, got {value!r}")
+            raise ConfigError(f"{field}: integer out of range, got {_shown(value)}") from None
+    raise ConfigError(f"{field}: expected a number, got {_shown(value)}")
 
 
 def _integer(value, field: str, lo: int, hi: float, rule: str) -> int:
     """`value` if it is an integer in [lo, hi]; ConfigError "field: rule" if not."""
     if isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi:
         return value
-    raise ConfigError(f"{field}: {rule}, got {value!r}")
+    raise ConfigError(f"{field}: {rule}, got {_shown(value)}")
 
 
 def _nonempty_list(value, field: str, of: str = "") -> list | tuple:
@@ -154,7 +158,8 @@ def build_spec(data: dict) -> SweepSpec:
     """Validate a flat config mapping and assemble a SweepSpec.
 
     Unknown keys are rejected outright so typos cannot silently fall back to
-    defaults.  This checks types, list shapes and the dB axes; the value
+    defaults.  A value repeated on an axis is kept at its first occurrence
+    only.  This checks types, list shapes and the dB axes; the value
     ranges are those of the model, which checks the rate and the decode
     threshold of the whole gamma_s axis, and every line, before the first
     row.
@@ -166,7 +171,7 @@ def build_spec(data: dict) -> SweepSpec:
     cfg.update({k: v for k, v in data.items() if v is not None})
 
     axis = _nonempty_list(cfg["gamma_s_db"], "gamma_s_db", " of dB values")
-    gamma_s_db = tuple(_number(x, f"gamma_s_db[{i}]") for i, x in enumerate(axis))
+    gamma_s_db = tuple(dict.fromkeys(_number(x, f"gamma_s_db[{i}]") for i, x in enumerate(axis)))
     gamma_s = [_linear_snr(x, "gamma_s_db") for x in gamma_s_db]
 
     raw_schemes = _nonempty_list(cfg["schemes"], "schemes")
@@ -174,21 +179,21 @@ def build_spec(data: dict) -> SweepSpec:
         schemes = tuple(dict.fromkeys(Scheme(s) for s in raw_schemes))
     except ValueError:
         valid = ", ".join(s.value for s in Scheme)
-        raise ConfigError(f"schemes: entries must be among {{{valid}}}, got {raw_schemes}") from None
+        raise ConfigError(f"schemes: entries must be among {{{valid}}}, got {_shown(raw_schemes)}") from None
 
-    sensing_pairs = []
+    sensing_pairs = {}  # (pd, pf) -> index of its first occurrence
     for i, pair in enumerate(_nonempty_list(cfg["sensing_pairs"], "sensing_pairs", " of [pd, pf] pairs")):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"sensing_pairs[{i}]: expected a [pd, pf] pair, got {pair!r}")
-        sensing_pairs.append((_number(pair[0], f"sensing_pairs[{i}].pd"),
-                              _number(pair[1], f"sensing_pairs[{i}].pf")))
+            raise ConfigError(f"sensing_pairs[{i}]: expected a [pd, pf] pair, got {_shown(pair)}")
+        sensing_pairs.setdefault((_number(pair[0], f"sensing_pairs[{i}].pd"),
+                                  _number(pair[1], f"sensing_pairs[{i}].pf")), i)
 
     # checked here, not left to SystemParams: N sizes the variance tuples
-    relay_counts = tuple(
+    relay_counts = tuple(dict.fromkeys(
         _integer(n, "relay_counts", 1, MAX_RELAYS, f"each N must be an integer in [1, {MAX_RELAYS}] "
                  "(the cap bounds Monte Carlo batch memory)")
         for n in _nonempty_list(cfg["relay_counts"], "relay_counts")
-    )
+    ))
     trials = _integer(cfg["trials"], "trials", 0, math.inf, "must be an integer >= 0 (0 = analytic only)")
     seed = _integer(cfg["seed"], "seed", 0, 2**64 - 1, "must be an integer in [0, 2^64)")
 
@@ -207,7 +212,7 @@ def build_spec(data: dict) -> SweepSpec:
     # error also gives the index of its sensing pair.
     variances = {}
     try:
-        for n in dict.fromkeys(relay_counts):
+        for n in relay_counts:
             variances[n] = ChannelVariances(
                 sigma2_si=s2si if isinstance(s2si, tuple) else (s2si,) * n,
                 sigma2_pi=s2pi if isinstance(s2pi, tuple) else (s2pi,) * n,
@@ -220,24 +225,22 @@ def build_spec(data: dict) -> SweepSpec:
         ) from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    lines = {}
-    for (i, (pd, pf)), n in product(enumerate(sensing_pairs), variances):
+    lines = []
+    for ((pd, pf), i), n in product(sensing_pairs.items(), relay_counts):
         try:
-            lines[pd, pf, n] = SystemParams(
+            lines.append(SystemParams(
                 p0=p0, pd=pd, pf=pf, gamma_s=gamma_s[0], gamma_p=gamma_p,
-                rate=rate, n_relays=n, variances=variances[n],
-            )
+                rate=rate, variances=variances[n],
+            ))
         except ValueError as exc:
             raise ConfigError(f"{exc} (sensing_pairs[{i}])") from None
 
     return SweepSpec(
         gamma_s_db=gamma_s_db,
         schemes=schemes,
-        sensing_pairs=tuple(sensing_pairs),
-        relay_counts=relay_counts,
         trials=trials,
         seed=seed,
-        lines=tuple(lines.values()),
+        lines=tuple(lines),
     )
 
 
@@ -281,15 +284,11 @@ def estimate_outage(params, schemes, trials, seed, workers=1):
 
 def sweep_points(spec: SweepSpec) -> Iterator[tuple[Scheme, float, float, int, float]]:
     """Yield the grid points in frozen emission order, lexicographic in
-    (scheme, pd, pf, n_relays, gamma_s_db), without building the grid; a
-    (pair, N) given k times yields each of its points k times in a row, as
-    a stable sort of the whole grid would."""
-    plane = sorted(Counter(product(spec.sensing_pairs, spec.relay_counts)).items())
-    gammas = sorted(spec.gamma_s_db)
-    for scheme in sorted(spec.schemes, key=lambda s: s.value):
-        for ((pd, pf), n), copies in plane:
-            for g in gammas:
-                yield from repeat((scheme, pd, pf, n, g), copies)
+    (scheme, pd, pf, n_relays, gamma_s_db), without building the grid."""
+    schemes = sorted(spec.schemes, key=lambda s: s.value)
+    plane = sorted((p.pd, p.pf, p.n_relays) for p in spec.lines)
+    for scheme, (pd, pf, n), g in product(schemes, plane, sorted(spec.gamma_s_db)):
+        yield scheme, pd, pf, n, g
 
 
 @dataclass(frozen=True)
@@ -325,8 +324,8 @@ class SweepRow:
 def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
     """Yield one SweepRow per grid point, in emission order.
 
-    Before the first row, one estimate_outage call takes every distinct
-    (pd, pf, N, gamma_s) point of the grid, for all of spec.schemes; the
+    Before the first row, one estimate_outage call takes every
+    (pd, pf, N, gamma_s) point of the grid once, for all of spec.schemes; the
     rows look their estimates up in its result.  That call decides which
     points share draws and starts and stops its own worker pool, so no
     worker is alive when a row is yielded.  A sweep with trials = 0 makes

@@ -142,11 +142,11 @@ class SystemParams:
     gamma_s   secondary transmit SNR, linear
     gamma_p   primary transmit SNR, linear
     rate      target data rate, bit/s/Hz
-    n_relays  number of decode-and-forward relays
 
     ``posterior`` and ``snr_threshold`` are derived at construction (and by
     ``dataclasses.replace``) by the module functions of those names, which
-    check their inputs; they take no part in ==, hash or repr.
+    check their inputs; they take no part in ==, hash or repr.  The relay
+    count ``n_relays`` is the length of the per-relay variance tuples.
     """
 
     p0: float
@@ -155,7 +155,6 @@ class SystemParams:
     gamma_s: float
     gamma_p: float
     rate: float
-    n_relays: int
     variances: ChannelVariances
     posterior: Posterior = field(init=False, repr=False, compare=False)
     snr_threshold: SnrThreshold = field(init=False, repr=False, compare=False)
@@ -165,16 +164,15 @@ class SystemParams:
         object.__setattr__(self, "snr_threshold", snr_threshold(self.rate, self.gamma_s))
         if not (self.gamma_p > 0.0) or math.isinf(self.gamma_p):
             raise ValueError(f"gamma_p must be finite and > 0, got {self.gamma_p}")
-        if not 1 <= self.n_relays <= MAX_RELAYS:
+        if self.n_relays > MAX_RELAYS:
             raise ValueError(
                 f"n_relays must be in [1, {MAX_RELAYS}] (the cap bounds Monte "
                 f"Carlo batch memory), got {self.n_relays}"
             )
-        if len(self.variances.sigma2_si) != self.n_relays:
-            raise ValueError(
-                f"variances cover {len(self.variances.sigma2_si)} relays, "
-                f"n_relays is {self.n_relays}"
-            )
+
+    @property
+    def n_relays(self) -> int:
+        return len(self.variances.sigma2_si)
 
 
 def posterior(p0: float, pd: float, pf: float) -> Posterior:

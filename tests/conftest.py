@@ -16,7 +16,8 @@ def _no_worker_outlives_a_test():
 @pytest.fixture
 def make_params():
     """Factory for SystemParams; defaults are the headline cross-validation setup
-    (p0=0.8, gamma_p=10 dB, R=1, N=6, unit signal variances, 0.2 primary)."""
+    (p0=0.8, gamma_p=10 dB, R=1, N=6, unit signal variances, 0.2 primary).
+    n_relays sizes the homogeneous variances built when none are given."""
 
     def make(
         gamma_s_db=10.0,
@@ -39,7 +40,6 @@ def make_params():
             gamma_s=db_to_linear(gamma_s_db),
             gamma_p=db_to_linear(gamma_p_db),
             rate=rate,
-            n_relays=n_relays,
             variances=variances,
         )
 

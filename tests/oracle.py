@@ -65,10 +65,9 @@ def sorted_sweep_points(spec):
     """Every grid point of a SweepSpec, stably sorted by
     (scheme value, pd, pf, n_relays, gamma_s_db)."""
     points = [
-        (scheme, pd, pf, n, g)
+        (scheme, line.pd, line.pf, line.n_relays, g)
         for scheme in spec.schemes
-        for (pd, pf) in spec.sensing_pairs
-        for n in spec.relay_counts
+        for line in spec.lines
         for g in spec.gamma_s_db
     ]
     points.sort(key=lambda p: (p[0].value, p[1], p[2], p[3], p[4]))
@@ -361,3 +360,12 @@ def scalar_trial_outage(gen, params, scheme):
     else:
         combined = forwarded.max()
     return bool(combined < thr.delta * interference)
+
+
+# an accepted config whose multi and best parts sum to 1.000000000000002
+ROUNDED_ABOVE_ONE = {
+    "sensing_pairs": [[0.9, 0.0]], "relay_counts": [24], "rate": 1.0,
+    "gamma_s_db": [-25.091885495573443], "gamma_p_db": 18.34048351784797,
+    "sigma2_si": 526.383650889647, "sigma2_pi": 853.9112995698636, "sigma2_d": 0.012342138055357457,
+    "sigma2_pd": 0.20285782656780957, "sigma2_sd": 101.26357392677589, "p0": 0.8,
+}

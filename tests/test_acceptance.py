@@ -228,7 +228,6 @@ def _params(gamma_s_db, *, pd=0.9, pf=0.1, n_relays=6, sigma2_si=1.0, sigma2_pi=
         gamma_s=db_to_linear(gamma_s_db),
         gamma_p=db_to_linear(10.0),
         rate=1.0,
-        n_relays=n_relays,
         variances=ChannelVariances(
             sigma2_si=per_relay(sigma2_si),
             sigma2_pi=per_relay(sigma2_pi),

@@ -31,6 +31,7 @@ from cogrelay.model import ChannelVariances, Scheme, SystemParams, db_to_linear,
 from cogrelay.specfun import reg_lower_gamma
 from oracle import (
     MAX_ORACLE_RELAYS,
+    ROUNDED_ABOVE_ONE,
     alternating_max_below_h1,
     asymptotic_outage,
     enumerated_cardinality_pmf,
@@ -441,7 +442,6 @@ def outage_total(scheme, g_db, n, pd, pf, gamma_p_db):
         gamma_s=db_to_linear(g_db),
         gamma_p=db_to_linear(gamma_p_db),
         rate=1.0,
-        n_relays=n,
         variances=ChannelVariances.homogeneous(n),
     )
     return OUTAGE[scheme](params).total
@@ -572,14 +572,17 @@ PRECONDITIONS = {
 
 class TestWholeAcceptedRange:
     @given(config=accepted_configs())
+    @example(config=ROUNDED_ABOVE_ONE)
     @settings(deadline=None)
     def test_breakdown_is_a_probability(self, config):
         # wherever a ratio, a second-hop argument or the interference scale
         # leaves the float range, the closed forms take their limits; the
-        # parts are rounded, so a value near 1 may pass it by an ulp or two
+        # parts are rounded, so a value near 1 may pass it by an ulp or two,
+        # but the total is clamped
         params = build_spec(config).base
         for scheme, outage in OUTAGE.items():
             b = outage(params)
+            assert 0.0 <= b.total <= 1.0, (scheme, b)
             for field in BREAKDOWN_FIELDS:
                 value = getattr(b, field)
                 assert math.isfinite(value) and value >= 0.0, (scheme, field, value)
@@ -667,7 +670,7 @@ class TestHighSnrAsymptote:
 
     def test_heterogeneous(self, scheme, pd, pf, make_params):
         variances = random_variances(np.random.default_rng(16), 16)
-        params = make_params(50.0, pd=pd, pf=pf, n_relays=16, variances=variances)
+        params = make_params(50.0, pd=pd, pf=pf, variances=variances)
         assert_follows_asymptote(params, scheme)
 
 
@@ -739,20 +742,18 @@ class TestMultiRelayOutage:
                 float(rng.uniform(0.0, 30.0)),
                 pd=float(rng.uniform(0.5, 1.0)),
                 pf=float(rng.uniform(0.0, 0.5)),
-                n_relays=n,
                 variances=random_variances(rng, n),
             )
             assert_matches_oracle(params, Scheme.MULTI_RELAY)
 
     def test_mixed_groups_equal_enumeration(self, make_params):
         for g_db in (0.0, 10.0, 25.0):
-            params = make_params(g_db, n_relays=7, variances=MIXED_VARIANCES)
+            params = make_params(g_db, variances=MIXED_VARIANCES)
             assert_matches_oracle(params, Scheme.MULTI_RELAY)
 
     def test_heterogeneous_against_brute_force(self, make_params):
         params = make_params(
             8.0,
-            n_relays=3,
             variances=ChannelVariances(
                 sigma2_si=(1.0, 0.6, 1.4),
                 sigma2_pi=(0.2, 0.3, 0.1),
@@ -804,14 +805,13 @@ class TestBestRelayOutage:
         for n in range(1, MAX_ORACLE_RELAYS + 1):
             params = make_params(
                 float(rng.uniform(0.0, 30.0)),
-                n_relays=n,
                 variances=random_variances(rng, n),
             )
             assert_matches_oracle(params, Scheme.BEST_RELAY)
 
     def test_mixed_groups_equal_enumeration(self, make_params):
         for g_db in (0.0, 10.0, 25.0):
-            params = make_params(g_db, n_relays=7, variances=MIXED_VARIANCES)
+            params = make_params(g_db, variances=MIXED_VARIANCES)
             assert_matches_oracle(params, Scheme.BEST_RELAY)
 
 
@@ -863,7 +863,6 @@ class TestDecodingCardinalityPmf:
             params = make_params(
                 float(rng.uniform(0.0, 30.0)),
                 pf=float(rng.uniform(0.0, 0.5)),
-                n_relays=n,
                 variances=random_variances(rng, n),
             )
             pmf = cardinality_pmf(params)
@@ -873,14 +872,14 @@ class TestDecodingCardinalityPmf:
                 assert_rel_close(got, want)
 
     def test_mixed_groups_match_enumeration(self, make_params):
-        params = make_params(6.0, n_relays=7, variances=MIXED_VARIANCES)
+        params = make_params(6.0, variances=MIXED_VARIANCES)
         for got, want in zip(cardinality_pmf(params), enumerated_cardinality_pmf(params)):
             assert_rel_close(got, want)
 
     def test_large_heterogeneous_sums_to_one(self, make_params):
         # far beyond what subset enumeration could reach
         n = 24
-        params = make_params(5.0, n_relays=n, variances=random_variances(np.random.default_rng(8), n))
+        params = make_params(5.0, variances=random_variances(np.random.default_rng(8), n))
         pmf = cardinality_pmf(params)
         assert len(pmf) == n + 1
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -32,6 +33,18 @@ def test_public_api_is_pinned_and_resolves():
     assert len(cogrelay.__all__) == len(PUBLIC_API)
     for name in cogrelay.__all__:
         assert hasattr(cogrelay, name), name
+
+
+def test_init_fields_are_pinned():
+    # each fact is an argument once: N is the variance tuples' length, and
+    # a sweep's pair and relay-count axes are its lines
+    from cogrelay.cli import SweepSpec
+
+    def init_fields(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    assert init_fields(cogrelay.SystemParams) == ["p0", "pd", "pf", "gamma_s", "gamma_p", "rate", "variances"]
+    assert init_fields(SweepSpec) == ["gamma_s_db", "schemes", "trials", "seed", "lines"]
 
 
 def test_montecarlo_exports_only_the_estimator():

@@ -24,7 +24,7 @@ from cogrelay.cli import (
     validate_points,
 )
 from cogrelay.model import ChannelVariances, Scheme, db_to_linear
-from oracle import sorted_sweep_points
+from oracle import ROUNDED_ABOVE_ONE, sorted_sweep_points
 
 STUDY_CONFIG = {
     "gamma_s_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
@@ -44,8 +44,7 @@ class TestBuildSpec:
         spec = build_spec({})
         assert spec.gamma_s_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
         assert spec.schemes == (Scheme.DIRECT, Scheme.BEST_RELAY, Scheme.MULTI_RELAY)
-        assert spec.sensing_pairs == ((0.9, 0.1),)
-        assert spec.relay_counts == (6,)
+        assert [(p.pd, p.pf, p.n_relays) for p in spec.lines] == [(0.9, 0.1, 6)]
         assert spec.trials == 0
         assert spec.seed == 12345
         base = spec.base
@@ -105,7 +104,10 @@ class TestBuildSpec:
             ({"relay_counts": [0]}, "relay_counts"),
             ({"sensing_pairs": [[0.9, 0.1], [math.nan, 0.1]]}, "pd .*sensing_pairs\\[1\\]"),
             ({"sensing_pairs": [[0, 0]]}, "sensing_pairs\\[0\\]"),
-            ({"p0": 10**400}, "p0"),
+            # an over-long integer shows its first 20 characters and its length
+            ({"p0": 10**400}, "p0: integer out of range, got 1(0){19}\\.\\.\\. \\(401 digits\\)$"),
+            ({"seed": 10**400}, "seed: must be an integer .* \\(401 digits\\)$"),
+            ({"relay_counts": [4, 10**400]}, "relay_counts: each N must be .* \\(401 digits\\)$"),
             # JSON true and false are not numbers
             ({"p0": True}, "p0: expected a number, got True"),
             ({"gamma_s_db": [True, 10]}, "gamma_s_db\\[0\\]: expected a number"),
@@ -120,8 +122,9 @@ class TestBuildSpec:
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, field):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=field) as info:
             build_spec(overrides)
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -156,7 +159,7 @@ class TestBuildSpec:
         real = cli.analytic_outage
         monkeypatch.setattr(cli, "analytic_outage", lambda p, s: seen.append(p) or real(p, s))
         spec = build_spec({**STUDY_CONFIG, "sensing_pairs": [[0.9, 0.1], [0.8, 0.2]]})
-        assert len(built) == len(spec.relay_counts) == 2
+        assert len(built) == len(STUDY_CONFIG["relay_counts"]) == 2
         lines = {(p.pd, p.pf, p.n_relays): p for p in spec.lines}
         assert len(lines) == len(spec.lines) == 2 * 2
         assert spec.base is spec.lines[0]
@@ -171,6 +174,19 @@ class TestBuildSpec:
     def test_duplicate_schemes_collapse(self):
         spec = build_spec({"schemes": ["multi", "multi", "best"]})
         assert spec.schemes == (Scheme.MULTI_RELAY, Scheme.BEST_RELAY)
+
+    def test_every_axis_keeps_each_value_once_at_its_first_occurrence(self):
+        spec = build_spec({"gamma_s_db": [10, -0.0, 10.0, 0, 5], "relay_counts": [6, 4, 6],
+                           "sensing_pairs": [[0.8, 0.2], [0.9, -0.0], [0.8, 0.2], [0.9, 0]]})
+        assert spec.gamma_s_db == (10.0, 0.0, 5.0)
+        assert [(p.pd, p.pf, p.n_relays) for p in spec.lines] == [
+            (0.8, 0.2, 6), (0.8, 0.2, 4), (0.9, 0.0, 6), (0.9, 0.0, 4)]
+        assert spec.base == build_spec({"gamma_s_db": [10], "relay_counts": [6],
+                                        "sensing_pairs": [[0.8, 0.2]]}).base
+
+    def test_a_repeated_pair_errs_at_its_first_index(self):
+        with pytest.raises(ConfigError, match="\\(sensing_pairs\\[1\\]\\)$"):
+            build_spec({"sensing_pairs": [[0.9, 0.1], [0, 0], [0.9, 0.1], [0, 0]]})
 
 
 class TestSweep:
@@ -226,7 +242,13 @@ class TestSweep:
                    "--n-relays", "4,6", "--scheme", "multi"])
         assert rc == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        assert [(r[1], r[2], r[4]) for r in rows] == [("4", "0", "0")] * 2 + [("6", "0", "0")] * 2
+        assert [(r[1], r[2], r[4]) for r in rows] == [("4", "0", "0"), ("6", "0", "0")]
+
+    def test_repeated_axis_values_give_one_row_each(self, capsys):
+        assert main(["sweep", "--gamma-s-db=-0,0,0", "--n-relays", "4,4"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], r[1], r[4]) for r in rows] == [
+            ("best", "4", "0"), ("direct", "4", "0"), ("multi", "4", "0")]
 
     def test_rerun_is_byte_identical(self):
         cfg = {"gamma_s_db": [5.0, 15.0], "schemes": ["best"], "trials": 20_000, "seed": 3}
@@ -238,9 +260,8 @@ class TestSweep:
         assert len(outputs) == 1
 
     def test_one_estimate_call_per_sweep(self, monkeypatch):
-        # one call, made before the first row, carries every distinct grid
-        # point once and every scheme; the repeated 10 dB value is one point,
-        # so its rows in every scheme repeat one estimate
+        # one call, made before the first row, carries every grid point once
+        # and every scheme; the repeated 10 dB value is one point and one row
         from cogrelay import cli
 
         calls = []
@@ -259,15 +280,13 @@ class TestSweep:
         assert len(calls) == 1
         rows = [first, *rows]
         assert len(calls) == 1
-        assert len(rows) == 3 * 2 * 2 * 3
+        assert len(rows) == len({(r.scheme, r.pd, r.pf, r.n_relays, r.gamma_s_db) for r in rows})
+        assert len(rows) == 3 * 2 * 2 * 2
         [(params, scheme)] = calls
         assert scheme == spec.schemes
         grid = {(r.pd, r.pf, r.n_relays, db_to_linear(r.gamma_s_db)) for r in rows}
         assert len(params) == len(grid) == 2 * 2 * 2
         assert {(p.pd, p.pf, p.n_relays, p.gamma_s) for p in params} == grid
-        for a, b in zip(rows[1::3], rows[2::3]):
-            assert a.gamma_s_db == b.gamma_s_db == 10.0
-            assert a == b
 
     def test_analytic_sweep_makes_no_estimate_call(self, monkeypatch):
         # trials = 0: no call, and no grid point's SystemParams built ahead
@@ -410,6 +429,24 @@ class TestValidate:
         assert f"false-fail prob:  {report.false_fail_probability:.3g} " in text
         if n_points == 42 and informative == 32:
             assert report.false_fail_probability == pytest.approx(0.0829, abs=1e-4)
+
+    def test_repeated_axis_values_count_once(self, capsys):
+        argv = ["validate", "--trials", "10000", "--gamma-s-db", "10,10,10", "--n-relays", "2,2",
+                "--scheme", "direct,multi"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "points checked:   2\n" in out
+        assert "false-fail prob:  0.00539 " in out
+
+    def test_total_rounded_above_one_validates(self, tmp_path, capsys):
+        # the multi and best totals of this accepted config sum their parts
+        # to 1.000000000000002; the clamped total keeps the z score defined
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(ROUNDED_ABOVE_ONE))
+        assert main(["validate", "--config", str(path), "--trials", "10000", "--scheme", "multi,best"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "points checked:   2\n" in captured.out and "verdict:          PASS" in captured.out
 
 
 class TestMainEntry:
@@ -602,6 +639,8 @@ class TestMainEntry:
         pytest.param([], {"rate": 0}, id="rate-zero"),
         pytest.param([], {"p0": 1.5}, id="p0-above-one"),
         pytest.param([], {"p0": 10**400}, id="p0-beyond-float"),
+        pytest.param(["--seed", "1" + "0" * 400], None, id="seed-too-long"),
+        pytest.param(["--n-relays", "1" + "0" * 400], None, id="relay-count-too-long"),
         pytest.param([], {"sensing_pairs": [[0.9, 0.1], [math.nan, 0.1]]}, id="later-pair-nan"),
         pytest.param([], {"sigma2_si": [1, 2, -1], "relay_counts": [3]}, id="per-relay-negative"),
         pytest.param([], {"relay_counts": [0]}, id="zero-relays"),
@@ -639,6 +678,7 @@ def test_bad_input_exits_2_before_any_output(tmp_path, flags, config):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert len(lines[0].replace(str(tmp_path), "")) < 200, lines[0]
     assert proc.stdout == ""
 
 

@@ -201,7 +201,7 @@ class TestSystemParams:
     def test_scalar_validation(self, field, value):
         kwargs = dict(
             p0=0.8, pd=0.9, pf=0.1, gamma_s=10.0, gamma_p=10.0,
-            rate=1.0, n_relays=2, variances=ChannelVariances.homogeneous(2),
+            rate=1.0, variances=ChannelVariances.homogeneous(2),
         )
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
@@ -212,28 +212,38 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="threshold"):
             SystemParams(
                 p0=0.8, pd=0.9, pf=0.1, gamma_s=gamma_s, gamma_p=10.0,
-                rate=rate, n_relays=2, variances=ChannelVariances.homogeneous(2),
+                rate=rate, variances=ChannelVariances.homogeneous(2),
             )
 
     def test_sensing_that_never_fires(self):
         with pytest.raises(ValueError, match="never declares"):
             SystemParams(
                 p0=1.0, pd=0.0, pf=0.5, gamma_s=10.0, gamma_p=10.0,
-                rate=1.0, n_relays=2, variances=ChannelVariances.homogeneous(2),
+                rate=1.0, variances=ChannelVariances.homogeneous(2),
             )
 
-    @pytest.mark.parametrize("n", [0, -1, MAX_RELAYS + 1])
+    @pytest.mark.parametrize("n", [MAX_RELAYS + 1])
     def test_relay_count_bounds(self, n):
-        with pytest.raises(ValueError, match="n_relays"):
+        # a count below 1 cannot be built: ChannelVariances rejects empty tuples
+        with pytest.raises(ValueError, match=f"n_relays must be in \\[1, {MAX_RELAYS}\\]"):
             SystemParams(
                 p0=0.8, pd=0.9, pf=0.1, gamma_s=10.0, gamma_p=10.0,
-                rate=1.0, n_relays=n,
-                variances=ChannelVariances.homogeneous(max(n, 1)),
+                rate=1.0, variances=ChannelVariances.homogeneous(n),
             )
 
-    def test_variance_length_mismatch(self):
-        with pytest.raises(ValueError, match="relays"):
+    def test_relay_count_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="n_relays"):
             SystemParams(
                 p0=0.8, pd=0.9, pf=0.1, gamma_s=10.0, gamma_p=10.0,
-                rate=1.0, n_relays=3, variances=ChannelVariances.homogeneous(2),
+                rate=1.0, n_relays=6, variances=ChannelVariances.homogeneous(6),
             )
+        assert "n_relays" not in {f.name for f in dataclasses.fields(SystemParams)}
+
+    def test_relay_count_follows_the_variances(self, make_params):
+        params = make_params(10.0, n_relays=6)
+        assert params.n_relays == 6
+        point = dataclasses.replace(params, variances=ChannelVariances.homogeneous(4))
+        assert point.n_relays == 4
+        assert pickle.loads(pickle.dumps(point)).n_relays == 4
+        with pytest.raises(AttributeError):
+            point.n_relays = 6
