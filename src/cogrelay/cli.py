@@ -101,11 +101,30 @@ class SweepSpec:
         return self.lines[0]
 
 
+def _cut(text: str) -> str:
+    """`text` for an error line, cut to its first 20 characters and its length when long."""
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _digit_count(n: int) -> int:
+    """The decimal digits of an int n >= 0, counted without converting n to text."""
+    digits = max(1, int(n.bit_length() * math.log10(2)))  # the count or just below it
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
 def _shown(value) -> str:
-    """repr(value) for an error line, cut to its first 20 characters and its length when long."""
-    text = repr(value)
-    unit = "digits" if isinstance(value, int) else "characters"
-    return text if len(text) <= 40 else f"{text[:20]}... ({len(text.lstrip('-'))} {unit})"
+    """repr(value) for an error line, cut like `_cut` when long.  A long int
+    is cut before any conversion to text, so one past Python's str() digit
+    limit is shown too: its first 20 characters and its digit count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        return _cut(repr(value))
+    sign = "-" if value < 0 else ""
+    digits = _digit_count(abs(value))
+    if len(sign) + digits <= 40:
+        return repr(value)
+    return f"{sign}{abs(value) // 10 ** (len(sign) + digits - 20)}... ({digits} digits)"
 
 
 def _number(value, field: str) -> float:
@@ -504,7 +523,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
-        raise ConfigError(message)
+        # argparse quotes the tokens it rejects whole: cut each long one
+        raise ConfigError(re.sub(r"\S{41,}", lambda m: _cut(m.group()), message))
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -52,7 +52,11 @@ where no trial of the block is in relay outage; the points above it keep
 Worker pool: with workers > 1, ``estimate_outage`` starts a process pool of
 at most `workers` processes (no more than it has batches), hands it the
 batches of every draw group in one map, and shuts it down, cancelling what is
-still queued, before it returns, raises or is interrupted.  No worker
+still queued, before it returns, raises or is interrupted.  The map takes
+the batches heaviest first, by rows times row width 3N+3, so the widest
+group's batches do not form its tail; each batch's counts are put back in
+input order.  ``numpy.random`` is imported with this module, so the forked
+workers inherit it instead of importing it again in every call.  No worker
 outlives the call, and calls share no pool or other module state.  The
 worker count is capped at MAX_WORKERS, checked before any pool starts; it
 lives in ``model``, so the CLI checks it without importing numpy.
@@ -65,6 +69,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .model import MAX_WORKERS, Scheme, SystemParams
 
@@ -122,9 +127,9 @@ def exponential_from_uniform(u, mean, out=None):
     return np.multiply(-mean, x, out=out)
 
 
-def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
+def batch_generator(seed: int, batch_index: int) -> Generator:
     """Counter-based stream for one batch: Philox keyed with (seed, batch)."""
-    return np.random.Generator(np.random.Philox(key=(seed & _SEED_MASK, batch_index)))
+    return Generator(Philox(key=(seed & _SEED_MASK, batch_index)))
 
 
 def _column_sum(cols: np.ndarray) -> np.ndarray:
@@ -330,12 +335,26 @@ def outage_flags(
     return np.concatenate([_batch_outage_flags(*task)[0, 0] for task in _batch_tasks(*request)])
 
 
+def _task_weight(task) -> int:
+    """A batch task's uniforms: its rows times the row width 3N+3."""
+    points, _, _, _, rows = task
+    return rows * (3 * points[0].n_relays + 3)
+
+
 def _pooled_counts(tasks: list, workers: int) -> list[np.ndarray]:
-    """Every task's counts, in order, from a pool that lives only in this call."""
+    """Every task's counts, in order, from a pool that lives only in this call.
+
+    The pool takes the tasks heaviest first, so the widest groups' batches do
+    not form the tail of the map; each task's counts go back to its slot."""
+    order = sorted(range(len(tasks)), key=lambda i: _task_weight(tasks[i]), reverse=True)
     chunk = max(1, len(tasks) // (4 * workers))
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(_batch_outage_count, tasks, chunksize=chunk))
+        counts = [None] * len(tasks)
+        results = pool.map(_batch_outage_count, [tasks[i] for i in order], chunksize=chunk)
+        for i, count in zip(order, results):
+            counts[i] = count
+        return counts
     finally:
         # a failed or interrupted map may leave tasks queued: drop them, and
         # wait until every worker has exited

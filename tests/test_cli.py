@@ -119,6 +119,9 @@ class TestBuildSpec:
             ({"gamma_s_db": ["1e1"]}, "gamma_s_db\\[0\\]: expected a number, got '1e1'"),
             ({"sigma2_d": " 2 "}, "sigma2_d: expected a number, got ' 2 '"),
             ({"p0": "0.8", "gamma_s_db": ["1e1"], "sigma2_d": " 2 "}, "gamma_s_db\\[0\\]: expected a number"),
+            # past Python's 4,300-digit str() limit, the value is cut before conversion
+            ({"seed": 10**5000}, "seed: must be an integer in \\[0, 2\\^64\\), got 1(0){19}\\.\\.\\. \\(5001 digits\\)$"),
+            ({"seed": -(10**5000)}, "seed: must be an integer .*, got -1(0){18}\\.\\.\\. \\(5001 digits\\)$"),
         ],
     )
     def test_invalid_values_name_their_field(self, overrides, field):
@@ -655,6 +658,7 @@ class TestMainEntry:
         pytest.param(["--gamma-s-db", "x"], None, id="gamma-s-not-a-number"),
         pytest.param(["--workers", "x"], None, id="workers-not-an-integer"),
         pytest.param(["--bogus"], None, id="unknown-flag"),
+        pytest.param(["--" + "x" * 300], None, id="unknown-flag-too-long"),
         pytest.param(["--pd"], None, id="missing-value"),
     ],
 )
@@ -807,7 +811,7 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
 
 
 # Modules that only the Monte Carlo path needs.
-MONTE_CARLO_MODULES = ("numpy", "cogrelay.montecarlo", "concurrent.futures.process")
+MONTE_CARLO_MODULES = ("numpy", "numpy.random", "cogrelay.montecarlo", "concurrent.futures.process")
 
 
 def _modules_loaded_after(code: str) -> list[str]:
@@ -833,6 +837,12 @@ def test_only_a_simulating_run_imports_numpy(argv, loads_monte_carlo):
     code = f"from cogrelay import cli\nassert cli.main({argv!r} + ['--out', {os.devnull!r}]) == 0"
     expected = list(MONTE_CARLO_MODULES) if loads_monte_carlo else []
     assert _modules_loaded_after(code) == expected
+
+
+def test_monte_carlo_module_loads_numpy_random():
+    # pool workers fork from a process that already holds numpy.random, so
+    # no worker imports it again
+    assert "numpy.random" in _modules_loaded_after("import cogrelay.montecarlo")
 
 
 def test_package_resolves_monte_carlo_names_on_first_use():

@@ -620,6 +620,34 @@ class TestWorkerPool:
         assert len(outputs[0].splitlines()) == 1 + 12
         assert outputs[0] == outputs[1]
 
+    def test_heaviest_first_dispatch_matches_one_worker(self, make_params, monkeypatch):
+        dispatched = []
+
+        class RecordingPool(montecarlo.ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                dispatched.append([rows * (3 * points[0].n_relays + 3)
+                                   for points, _, _, _, rows in tasks])
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        # three draw groups of different widths, out of N order, one point
+        # repeated; the last batch of each group is partial
+        points = (make_params(5.0, n_relays=7), make_params(15.0, n_relays=2),
+                  make_params(10.0, n_relays=12), make_params(5.0, n_relays=7),
+                  make_params(0.0, n_relays=2))
+        trials = 2 * TRIALS_PER_BATCH + 5
+        schemes = tuple(Scheme)
+        results = [estimate_outage(points, schemes, trials, 9, workers=w) for w in (1, 2, 3)]
+        assert not multiprocessing.active_children()
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == results[0][3]
+        assert results[0] == tuple(estimate_outage(p, schemes, trials, 9) for p in points)
+        # both pooled calls took the widest full batches first
+        assert len(dispatched) == 2
+        for weights in dispatched:
+            assert weights == sorted(weights, reverse=True)
+            assert weights[0] == TRIALS_PER_BATCH * (3 * 12 + 3)
+
     def test_closing_a_sweep_early_reaps_its_workers(self):
         # every estimate is in before the first row, and its pool is gone
         rows = iter_sweep_rows(build_spec(self.SPEC), workers=2)
