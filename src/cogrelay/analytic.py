@@ -209,17 +209,15 @@ def _first_hop(params: SystemParams, delta: float) -> tuple[list, list]:
 
 
 def _relay_scheme_outage(params: SystemParams, tail_h0, tail_h1) -> OutageBreakdown:
-    post = params.posterior
-    delta = params.snr_threshold.delta
-    h0, h1 = _first_hop(params, delta)
+    h0, h1 = _first_hop(params, params.delta)
     pmf0 = _cardinality_pmf(h0)
     pmf1 = _cardinality_pmf(h1)
     sizes = range(1, params.n_relays + 1)
     return OutageBreakdown(
-        empty_h0=post.pi0 * pmf0[0],
-        empty_h1=post.pi1 * pmf1[0],
-        nonempty_h0=post.pi0 * math.fsum(pmf0[k] * tail_h0(k) for k in sizes),
-        nonempty_h1=post.pi1 * math.fsum(pmf1[k] * tail_h1(k) for k in sizes),
+        empty_h0=params.pi0 * pmf0[0],
+        empty_h1=params.pi1 * pmf1[0],
+        nonempty_h0=params.pi0 * math.fsum(pmf0[k] * tail_h0(k) for k in sizes),
+        nonempty_h1=params.pi1 * math.fsum(pmf1[k] * tail_h1(k) for k in sizes),
     )
 
 
@@ -229,7 +227,7 @@ def outage_multi_relay(params: SystemParams) -> OutageBreakdown:
     fails only when the *sum* of member gains falls below the threshold.
     """
     v = params.variances
-    delta = params.snr_threshold.delta
+    delta = params.delta
     return _relay_scheme_outage(
         params,
         tail_h0=lambda k: p_sum_below_h0(delta, v.sigma2_d, k),
@@ -247,7 +245,7 @@ def outage_best_relay(params: SystemParams) -> OutageBreakdown:
     dominates the multi-relay one.
     """
     v = params.variances
-    delta = params.snr_threshold.delta
+    delta = params.delta
     return _relay_scheme_outage(
         params,
         tail_h0=lambda k: p_max_below_h0(delta, v.sigma2_d, k),
@@ -262,13 +260,11 @@ def outage_direct(params: SystemParams) -> OutageBreakdown:
     (2^R - 1)/gamma_s rather than the two-slot (2^{2R} - 1)/gamma_s.  No
     decoding set exists; the empty-set components are reported as zero.
     """
-    post = params.posterior
-    thr = params.snr_threshold
     v = params.variances
     return OutageBreakdown(
         empty_h0=0.0,
         empty_h1=0.0,
-        nonempty_h0=post.pi0 * p_below_h0(thr.delta_direct, v.sigma2_sd),
-        nonempty_h1=post.pi1 * p_below_h1(thr.delta_direct, v.sigma2_sd, v.sigma2_pd, params.gamma_p),
+        nonempty_h0=params.pi0 * p_below_h0(params.delta_direct, v.sigma2_sd),
+        nonempty_h1=params.pi1 * p_below_h1(params.delta_direct, v.sigma2_sd, v.sigma2_pd, params.gamma_p),
     )
 

@@ -403,12 +403,17 @@ def _z_score(analytic: float, p_hat: float, stderr: float, trials: int) -> float
 _Z_EXCEED_PROB = math.erfc(3.0 / math.sqrt(2.0))
 
 
+def _allowed_exceedances(n_points: int) -> int:
+    """The most points past z = 3 that the PASS rule allows: the largest
+    count below 1% of the points."""
+    return math.ceil(0.01 * n_points) - 1
+
+
 def _false_fail_probability(informative: int, n_points: int) -> float:
-    """P(Binomial(informative, _Z_EXCEED_PROB) > c), c being the most
-    exceedances the PASS rule allows: the largest count below 1% of the
-    points.  Points expecting no outage at all cannot exceed, so only the
-    informative ones count."""
-    allowed = math.ceil(0.01 * n_points) - 1
+    """P(Binomial(informative, _Z_EXCEED_PROB) > c), c being
+    ``_allowed_exceedances(n_points)``.  Points expecting no outage at all
+    cannot exceed, so only the informative ones count."""
+    allowed = _allowed_exceedances(n_points)
     log_q = math.log(_Z_EXCEED_PROB)
     log_p = math.log1p(-_Z_EXCEED_PROB)
     pass_terms = [
@@ -465,7 +470,7 @@ def validate_points(rows: list[SweepRow], trials: int) -> ValidationReport:
                 f"analytic={row.analytic_outage:.6g} mc={row.estimate.p_hat:.6g}"
             )
             exceed.append((label, z))
-    passed = len(exceed) < 0.01 * len(rows)
+    passed = len(exceed) <= _allowed_exceedances(len(rows))
     informative = sum(trials * row.analytic_outage >= 1.0 for row in rows)
     return ValidationReport(
         n_points=len(rows),
@@ -633,6 +638,49 @@ def _cmd_validate(spec: SweepSpec, args, out) -> int:
     return 0 if report.passed else 1
 
 
+class _WriteFailed(Exception):
+    """A write, flush or close of the command's output failed."""
+
+
+class _Output:
+    """stdout or the --out file, for a command to write to.  An OSError from
+    writing, flushing or closing it is raised as _WriteFailed, so main tells
+    it from an OSError raised elsewhere; a closed pipe stays a
+    BrokenPipeError."""
+
+    def __init__(self, path: str | None):
+        self.name = "stdout" if path is None else repr(path)
+        try:
+            self.stream = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"out: cannot open {path!r}: {exc.strerror}") from None
+
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise _WriteFailed(f"cannot write {self.name}: {exc.strerror}") from None
+
+    def write(self, text: str) -> int:
+        return self._call(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._call(self.stream.flush)
+
+    def close(self) -> None:
+        """Flush stdout, or flush and close the --out file (closed even if
+        the flush fails)."""
+        self._call(self.stream.flush if self.stream is sys.stdout else self.stream.close)
+
+
+def _silence_stdout() -> None:
+    # point stdout at devnull so the interpreter's final flush cannot raise
+    # again (the SIGPIPE note in Python's signal module docs)
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -649,22 +697,21 @@ def main(argv=None) -> int:
             "sweep": _cmd_sweep,
             "validate": _cmd_validate,
         }[args.command]
-        if args.out:
-            try:
-                fh = open(args.out, "w", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise ConfigError(f"out: cannot open {args.out!r}: {exc.strerror}") from None
-            with fh:
-                return handler(spec, args, fh)
-        return handler(spec, args, sys.stdout)
+        out = _Output(args.out)
+        try:
+            return handler(spec, args, out)
+        finally:
+            out.close()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so the interpreter's
-        # final flush cannot raise again (the SIGPIPE note in Python's
-        # signal module docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except _WriteFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if args.out is None:
+            _silence_stdout()
+        return 1
+    except BrokenPipeError:  # the reader closed stdout
+        _silence_stdout()
         return 1
 
 

@@ -1,4 +1,4 @@
-"""System parameters, sensing posteriors and SNR thresholds.
+"""System parameters, the sensing posterior and the SNR thresholds.
 
 Everything here is deterministic configuration shared by the closed-form and
 Monte Carlo paths: prior spectrum occupancy, sensing quality (detection /
@@ -16,9 +16,7 @@ __all__ = [
     "MAX_RELAYS",
     "MAX_WORKERS",
     "ChannelVariances",
-    "Posterior",
     "Scheme",
-    "SnrThreshold",
     "SystemParams",
     "db_to_linear",
     "posterior",
@@ -43,35 +41,6 @@ class Scheme(str, enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Probabilities of H0 (band free) and H1 (primary active) conditioned on
-    the sensor declaring a hole."""
-
-    pi0: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.pi0 <= 1.0):
-            raise ValueError(f"posterior probability out of [0,1]: {self}")
-
-    @property
-    def pi1(self) -> float:
-        return 1.0 - self.pi0
-
-
-@dataclass(frozen=True)
-class SnrThreshold:
-    """Linear SNR levels below which decoding fails at rate R.
-
-    Relayed schemes spend two time slots on every message, so their capacity
-    carries a 1/2 pre-log and the threshold is (2^{2R}-1)/gamma_s.  The
-    single-hop direct benchmark uses one slot: (2^R-1)/gamma_s.
-    """
-
-    delta: float
-    delta_direct: float
 
 
 class _ThresholdNotFinite(ValueError):
@@ -143,10 +112,12 @@ class SystemParams:
     gamma_p   primary transmit SNR, linear
     rate      target data rate, bit/s/Hz
 
-    ``posterior`` and ``snr_threshold`` are derived at construction (and by
-    ``dataclasses.replace``) by the module functions of those names, which
-    check their inputs; they take no part in ==, hash or repr.  The relay
-    count ``n_relays`` is the length of the per-relay variance tuples.
+    Derived at construction and by ``dataclasses.replace``, outside ==,
+    hash and repr: the posterior ``pi0`` = Pr(band free | hole declared),
+    from ``posterior``, and the decode thresholds ``delta`` (two slots) and
+    ``delta_direct`` (one slot), from ``snr_threshold``.  The properties
+    ``pi1`` = 1 - pi0 and ``n_relays``, the length of the per-relay
+    variance tuples, complete them.
     """
 
     p0: float
@@ -156,12 +127,15 @@ class SystemParams:
     gamma_p: float
     rate: float
     variances: ChannelVariances
-    posterior: Posterior = field(init=False, repr=False, compare=False)
-    snr_threshold: SnrThreshold = field(init=False, repr=False, compare=False)
+    pi0: float = field(init=False, repr=False, compare=False)
+    delta: float = field(init=False, repr=False, compare=False)
+    delta_direct: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "posterior", posterior(self.p0, self.pd, self.pf))
-        object.__setattr__(self, "snr_threshold", snr_threshold(self.rate, self.gamma_s))
+        object.__setattr__(self, "pi0", posterior(self.p0, self.pd, self.pf))
+        delta, delta_direct = snr_threshold(self.rate, self.gamma_s)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta_direct", delta_direct)
         if not (self.gamma_p > 0.0) or math.isinf(self.gamma_p):
             raise ValueError(f"gamma_p must be finite and > 0, got {self.gamma_p}")
         if self.n_relays > MAX_RELAYS:
@@ -171,15 +145,20 @@ class SystemParams:
             )
 
     @property
+    def pi1(self) -> float:
+        return 1.0 - self.pi0
+
+    @property
     def n_relays(self) -> int:
         return len(self.variances.sigma2_si)
 
 
-def posterior(p0: float, pd: float, pf: float) -> Posterior:
-    """Bayes-invert the sensing outcome: Pr(H0 | declared free) and complement.
+def posterior(p0: float, pd: float, pf: float) -> float:
+    """Bayes-invert the sensing outcome: pi0 = Pr(H0 | declared free).
 
-    pi0 = p0*pd / (p0*pd + (1-p0)*pf).  Raises if a probability leaves
-    [0, 1] or the sensor can never declare a hole (zero denominator).
+    pi0 = p0*pd / (p0*pd + (1-p0)*pf), in [0, 1] since the numerator is a
+    term of the denominator.  Raises if a probability leaves [0, 1] or the
+    sensor can never declare a hole (zero denominator).
     """
     for name, v in (("p0", p0), ("pd", pd), ("pf", pf)):
         if not (0.0 <= v <= 1.0):
@@ -187,11 +166,15 @@ def posterior(p0: float, pd: float, pf: float) -> Posterior:
     denom = p0 * pd + (1.0 - p0) * pf
     if denom <= 0.0:
         raise ValueError("sensing never declares a hole: p0*pd + (1-p0)*pf must be > 0")
-    return Posterior(pi0=p0 * pd / denom)
+    return p0 * pd / denom
 
 
-def snr_threshold(rate: float, gamma_s: float) -> SnrThreshold:
-    """Decode thresholds on the fading gain scale for both rate conventions.
+def snr_threshold(rate: float, gamma_s: float) -> tuple[float, float]:
+    """Decode thresholds (delta, delta_direct) on the fading gain scale.
+
+    Relayed schemes spend two time slots on every message, so their capacity
+    carries a 1/2 pre-log and delta = (2^{2R}-1)/gamma_s.  The single-hop
+    direct benchmark uses one slot: delta_direct = (2^R-1)/gamma_s.
 
     Raises unless rate and gamma_s are finite and > 0 and the (larger)
     two-slot threshold is finite: 2^{2R} overflows from R = 512, and a
@@ -205,7 +188,7 @@ def snr_threshold(rate: float, gamma_s: float) -> SnrThreshold:
         delta = math.inf
     if math.isinf(delta):
         raise _ThresholdNotFinite(f"the decode threshold is not finite at rate {rate} and gamma_s {gamma_s}")
-    return SnrThreshold(delta=delta, delta_direct=(2.0 ** rate - 1.0) / gamma_s)
+    return delta, (2.0 ** rate - 1.0) / gamma_s
 
 
 def db_to_linear(x_db: float) -> float:

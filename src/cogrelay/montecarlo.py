@@ -210,8 +210,8 @@ def _batch_outage_flags(
     first = points[0]
     # each posterior's points, from the largest delta down
     lines: dict[float, list[int]] = {}
-    for i in sorted(range(len(points)), key=lambda i: points[i].snr_threshold.delta, reverse=True):
-        lines.setdefault(points[i].posterior.pi1, []).append(i)
+    for i in sorted(range(len(points)), key=lambda i: points[i].delta, reverse=True):
+        lines.setdefault(points[i].pi1, []).append(i)
     pi1_max = max(lines)
     n = first.n_relays
     v = first.variances
@@ -250,13 +250,13 @@ def _batch_outage_flags(
             if direct is not None:
                 for i in line:
                     out = flags[i, direct, block]
-                    np.less(g_sd, points[i].snr_threshold.delta_direct * interference, out=out)
+                    np.less(g_sd, points[i].delta_direct * interference, out=out)
             if not relay_schemes:
                 continue
             g_si_h1 = g_si[:, h1]
             interference_pi = interference_pi_h1[:, in_h1]
             for i in line:
-                delta = points[i].snr_threshold.delta
+                delta = points[i].delta
                 decoded = g_si > delta
                 decoded[:, h1] = g_si_h1 > delta * interference_pi
                 # the gain where the relay decoded, +0.0 where it did not

@@ -88,7 +88,7 @@ def _subset_probabilities(fail):
 
 def _first_hop_failures(params):
     v = params.variances
-    delta = params.snr_threshold.delta
+    delta = params.delta
     f0 = [p_below_h0(delta, s2) for s2 in v.sigma2_si]
     f1 = [
         p_below_h1(delta, s2s, s2p, params.gamma_p)
@@ -100,7 +100,7 @@ def _first_hop_failures(params):
 def enumerated_outage(params, scheme):
     """Outage breakdown of a relay scheme by summing over all decoding sets."""
     v = params.variances
-    delta = params.snr_threshold.delta
+    delta = params.delta
     if scheme is Scheme.MULTI_RELAY:
         tail_h0 = lambda k: p_sum_below_h0(delta, v.sigma2_d, k)  # noqa: E731
         tail_h1 = lambda k: p_sum_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k)  # noqa: E731
@@ -119,24 +119,22 @@ def enumerated_outage(params, scheme):
                 terms.append(w * tail(k))
         return empty, math.fsum(terms)
 
-    post = params.posterior
     f0, f1 = _first_hop_failures(params)
     empty0, sum0 = split(f0, tail_h0)
     empty1, sum1 = split(f1, tail_h1)
     return OutageBreakdown(
-        empty_h0=post.pi0 * empty0,
-        empty_h1=post.pi1 * empty1,
-        nonempty_h0=post.pi0 * sum0,
-        nonempty_h1=post.pi1 * sum1,
+        empty_h0=params.pi0 * empty0,
+        empty_h1=params.pi1 * empty1,
+        nonempty_h0=params.pi0 * sum0,
+        nonempty_h1=params.pi1 * sum1,
     )
 
 
 def enumerated_cardinality_pmf(params):
     """Decoding-set size distribution by summing subset probabilities per size."""
-    post = params.posterior
     n = params.n_relays
     mixed = [[] for _ in range(n + 1)]
-    for weight, fail in zip((post.pi0, post.pi1), _first_hop_failures(params)):
+    for weight, fail in zip((params.pi0, params.pi1), _first_hop_failures(params)):
         for k, w in _subset_probabilities(fail):
             mixed[k].append(weight * w)
     return tuple(math.fsum(terms) for terms in mixed)
@@ -192,7 +190,7 @@ def mp_outage(params, scheme):
     are the exact references above.  The threshold is the package's float
     delta, so both sides start from the same input."""
     v = params.variances
-    delta = mpmath.mpf(params.snr_threshold.delta)
+    delta = mpmath.mpf(params.delta)
     with mpmath.workdps(60):
         p0, pd, pf = (mpmath.mpf(x) for x in (params.p0, params.pd, params.pf))
         declared = p0 * pd + (1 - p0) * pf
@@ -254,15 +252,13 @@ def asymptotic_outage(params, scheme):
         C = sum_k (pi0*e_{N-k}(s^H0) + pi1*e_{N-k}(s^H1)*M_k) / (sigma2_d^k D_k),
     with e the elementary symmetric sums; with equal variances
     e_{N-k}(s) = C(N,k) s^(N-k)."""
-    post = params.posterior
-    thr = params.snr_threshold
     v = params.variances
     g = params.gamma_p
     with mpmath.workdps(40):
-        pi0, pi1 = mpmath.mpf(post.pi0), mpmath.mpf(post.pi1)
+        pi0, pi1 = mpmath.mpf(params.pi0), mpmath.mpf(params.pi1)
         if scheme is Scheme.DIRECT:
             c = (pi0 + pi1 * (1 + g * mpmath.mpf(v.sigma2_pd))) / v.sigma2_sd
-            return float(c * thr.delta_direct)
+            return float(c * params.delta_direct)
         n = params.n_relays
         e0 = elementary_symmetric([1 / mpmath.mpf(s) for s in v.sigma2_si])
         e1 = elementary_symmetric(
@@ -276,7 +272,7 @@ def asymptotic_outage(params, scheme):
             )
             d_k = mpmath.factorial(k) if scheme is Scheme.MULTI_RELAY else 1
             c += (pi0 * e0[n - k] + pi1 * e1[n - k] * m_k) / (mpmath.mpf(v.sigma2_d) ** k * d_k)
-        return float(c * mpmath.mpf(thr.delta) ** n)
+        return float(c * mpmath.mpf(params.delta) ** n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -311,44 +307,40 @@ def whole_batch_outage_flags(params, scheme, seed, batch_index):
     max tests over the whole batch.  The package kernel must reproduce it
     flag for flag.
     """
-    post = params.posterior
-    thr = params.snr_threshold
     u0, g_pd, g_sd, g_si, g_pi, g_id = _whole_batch_gains(seed, batch_index, params.variances)
-    alpha = (u0 < post.pi1).astype(np.float64)
+    alpha = (u0 < params.pi1).astype(np.float64)
     interference = alpha * params.gamma_p * g_pd + 1.0
     if scheme is Scheme.DIRECT:
-        return g_sd < thr.delta_direct * interference
-    decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
+        return g_sd < params.delta_direct * interference
+    decoded = g_si > params.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
     forwarded = np.where(decoded, g_id, 0.0)
     if scheme is Scheme.MULTI_RELAY:
         # each row's running sum in relay order; the last one is the total
         combined = np.add.accumulate(forwarded, axis=1)[:, -1]
     else:
         combined = forwarded.max(axis=1)
-    return combined < thr.delta * interference
+    return combined < params.delta * interference
 
 
 def decoded_relays(params, g_si, g_pi, alpha):
     """Decode test of one trial: relay i decodes when g_si[i] beats
     delta*(alpha*gamma_p*g_pi[i] + 1), alpha being 1.0 under H1 (primary
     active) and 0.0 under H0."""
-    delta = params.snr_threshold.delta
+    delta = params.delta
     return g_si > delta * (alpha * params.gamma_p * g_pi + 1.0)
 
 
 def scalar_trial_outage(gen, params, scheme):
     """Outage of the next trial on `gen`, computed one trial at a time."""
-    post = params.posterior
-    thr = params.snr_threshold
     n = params.n_relays
     v = params.variances
     u = gen.random(3 * n + 3)
-    alpha = 1.0 if u[0] < post.pi1 else 0.0
+    alpha = 1.0 if u[0] < params.pi1 else 0.0
     g_pd = exponential_from_uniform(u[3 * n + 1], v.sigma2_pd)
     interference = alpha * params.gamma_p * g_pd + 1.0
     if scheme is Scheme.DIRECT:
         g_sd = exponential_from_uniform(u[3 * n + 2], v.sigma2_sd)
-        return bool(g_sd < thr.delta_direct * interference)
+        return bool(g_sd < params.delta_direct * interference)
     g_si = exponential_from_uniform(u[1 : n + 1], np.asarray(v.sigma2_si))
     g_pi = exponential_from_uniform(u[n + 1 : 2 * n + 1], np.asarray(v.sigma2_pi))
     g_id = exponential_from_uniform(u[2 * n + 1 : 3 * n + 1], v.sigma2_d)
@@ -359,7 +351,7 @@ def scalar_trial_outage(gen, params, scheme):
             combined += g
     else:
         combined = forwarded.max()
-    return bool(combined < thr.delta * interference)
+    return bool(combined < params.delta * interference)
 
 
 # an accepted config whose multi and best parts sum to 1.000000000000002

@@ -97,9 +97,7 @@ def brute_force_outage(params, scheme, trials, rng):
     """Independent sample-path oracle built straight from numpy draws."""
     n = params.n_relays
     v = params.variances
-    post = params.posterior
-    thr = params.snr_threshold
-    hyp1 = rng.random(trials) < post.pi1
+    hyp1 = rng.random(trials) < params.pi1
     alpha = hyp1.astype(float)
     g_si = rng.exponential(1.0, (trials, n)) * np.asarray(v.sigma2_si)
     g_pi = rng.exponential(1.0, (trials, n)) * np.asarray(v.sigma2_pi)
@@ -108,11 +106,11 @@ def brute_force_outage(params, scheme, trials, rng):
     interf = alpha * params.gamma_p * g_pd + 1.0
     if scheme == "direct":
         g_sd = rng.exponential(v.sigma2_sd, trials)
-        return float(np.mean(g_sd < thr.delta_direct * interf))
-    decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
+        return float(np.mean(g_sd < params.delta_direct * interf))
+    decoded = g_si > params.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
     forwarded = np.where(decoded, g_id, 0.0)
     combined = forwarded.sum(axis=1) if scheme == "multi" else forwarded.max(axis=1)
-    return float(np.mean(combined < thr.delta * interf))
+    return float(np.mean(combined < params.delta * interf))
 
 
 def mc_tolerance(p, trials, z=4.0):
@@ -242,8 +240,8 @@ class TestSecondHopSum:
     @pytest.mark.parametrize(
         "delta,s2d,s2pd,gp,k",
         [
-            (snr_threshold(1.0, db_to_linear(140.0)).delta, 1.0, 0.2, 10.0, 24),
-            (snr_threshold(1.0, db_to_linear(300.0)).delta, 1.0, 0.2, 10.0, 12),
+            (snr_threshold(1.0, db_to_linear(140.0))[0], 1.0, 0.2, 10.0, 24),
+            (snr_threshold(1.0, db_to_linear(300.0))[0], 1.0, 0.2, 10.0, 12),
             (200.0, 1.0, 1.0, 1e-6, 200),
             (150.0, 1.0, 1.0, 1e-6, 200),
         ],
@@ -363,7 +361,7 @@ class TestTailsOverWholeRange:
 
     def check(self, tail, exact_tail, k, sigma2_d, gamma_p):
         for g_db in SNR_DB:
-            delta = snr_threshold(1.0, db_to_linear(g_db)).delta
+            delta = snr_threshold(1.0, db_to_linear(g_db))[0]
             got = tail(delta, sigma2_d, 0.2, gamma_p, k)
             assert_exact_within_tail_tolerance(got, exact_tail(delta, sigma2_d, 0.2, gamma_p, k))
 
@@ -379,7 +377,7 @@ def test_h0_tails_and_first_hop_over_whole_range(sigma2):
     # the elementary closed forms over the same range and tolerance
     with mpmath.workdps(60):
         for g_db in SNR_DB:
-            delta = snr_threshold(1.0, db_to_linear(g_db)).delta
+            delta = snr_threshold(1.0, db_to_linear(g_db))[0]
             x = mpmath.mpf(delta) / sigma2
             below = -mpmath.expm1(-x)
             assert_exact_within_tail_tolerance(p_below_h0(delta, sigma2), below)
@@ -650,8 +648,7 @@ def assert_follows_asymptote(params, scheme):
         asymptote = asymptotic_outage(point, scheme)
         if asymptote < 1e-290:
             break
-        thr = point.snr_threshold
-        delta = thr.delta_direct if scheme is Scheme.DIRECT else thr.delta
+        delta = point.delta_direct if scheme is Scheme.DIRECT else point.delta
         ratio = OUTAGE[scheme](point).total / asymptote
         assert abs(ratio - 1.0) <= ASYMPTOTE_K[scheme] * delta + ASYMPTOTE_FLOOR, (g_db, ratio)
         tested += 1
@@ -840,9 +837,8 @@ class TestDirectOutage:
 def cardinality_pmf(params):
     """Decoding-set size distribution given a declared hole: the pmfs of the
     interference-free and interfered first hops, mixed by the posterior."""
-    post = params.posterior
-    h0, h1 = _first_hop(params, params.snr_threshold.delta)
-    return [post.pi0 * a + post.pi1 * b for a, b in zip(_cardinality_pmf(h0), _cardinality_pmf(h1))]
+    h0, h1 = _first_hop(params, params.delta)
+    return [params.pi0 * a + params.pi1 * b for a, b in zip(_cardinality_pmf(h0), _cardinality_pmf(h1))]
 
 
 class TestDecodingCardinalityPmf:

@@ -55,6 +55,20 @@ def test_montecarlo_exports_only_the_estimator():
     assert set(montecarlo.__all__) == {"MAX_WORKERS", "TRIALS_PER_BATCH", "OutageEstimate", "estimate_outage"}
 
 
+def test_model_exports_are_pinned():
+    # the posterior and the thresholds are SystemParams attributes; the
+    # functions that derive them stay exported for their checks
+    from cogrelay import model
+
+    assert set(model.__all__) == {
+        "MAX_RELAYS", "MAX_WORKERS", "ChannelVariances", "Scheme", "SystemParams",
+        "db_to_linear", "posterior", "snr_threshold",
+    }
+    assert len(model.__all__) == 8
+    for name in model.__all__:
+        assert hasattr(model, name), name
+
+
 def test_readme_library_example_uses_the_public_api_and_runs():
     code = library_example()
     imported = {

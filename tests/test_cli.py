@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -402,6 +403,36 @@ class TestValidate:
             assert len(report.exceedances) == 1
             assert "FAIL" in report.render()
 
+    @pytest.mark.parametrize("n_points, allowed", [(42, 0), (100, 0), (101, 1), (150, 1)])
+    def test_pass_allows_exceedances_below_one_percent(self, n_points, allowed):
+        # PASS iff fewer than 1% of the points exceed z = 3: exactly
+        # `allowed` exceedances pass and one more fails, and the false-fail
+        # probability is the chance of more than `allowed` among the
+        # informative points (all of them here)
+        from cogrelay.cli import SweepRow
+        from cogrelay.montecarlo import OutageEstimate
+
+        trials = 10**6
+
+        def row(i, exceeds):
+            # z = 0, or z = 0.5 / sqrt(0.25 / trials) = 1000
+            count = 0 if exceeds else 2
+            return SweepRow(scheme=Scheme.MULTI_RELAY, n_relays=6, pd=0.9, pf=0.1, gamma_s_db=float(i),
+                            analytic_outage=0.5 if exceeds else count / trials,
+                            estimate=OutageEstimate.from_count(count, trials, 1))
+
+        q = math.erfc(3.0 / math.sqrt(2.0))
+        passing = sum(
+            math.comb(n_points, j) * q**j * (1.0 - q) ** (n_points - j) for j in range(allowed + 1)
+        )
+        for exceeding, passed in ((allowed, True), (allowed + 1, False)):
+            report = validate_points([row(i, i < exceeding) for i in range(n_points)], trials)
+            assert len(report.exceedances) == exceeding
+            assert report.passed is passed
+            assert report.informative == n_points
+            assert report.false_fail_probability == pytest.approx(1.0 - passing, rel=1e-12)
+            assert ("verdict:          PASS" in report.render()) is passed
+
     @pytest.mark.parametrize("n_points, informative", [(42, 32), (150, 150), (42, 0)])
     def test_report_counts_informative_points_and_false_fail_odds(self, n_points, informative):
         # expected outage counts of 2 (informative) and 0.5 (not) at 1e6 trials;
@@ -418,7 +449,7 @@ class TestValidate:
         ]
         report = validate_points(rows, trials)
         q = math.erfc(3.0 / math.sqrt(2.0))
-        # the PASS rule allows no exceedance below 100 points and one up to 200
+        # the PASS rule allows no exceedance up to 100 points and one up to 200
         allowed = 0 if n_points < 100 else 1
         passing = sum(
             math.comb(informative, j) * q**j * (1.0 - q) ** (informative - j)
@@ -808,6 +839,42 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv", [["sweep", "--n-relays", "2", "--gamma-s-db", "0"], ["analytic"]],
+                         ids=["sweep", "analytic"])
+def test_failed_write_is_one_error_line(argv, to_out):
+    """A write that fails (a full disk) ends the command with exit code 1
+    and one `error:` line naming the output, on stdout and on --out alike."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cogrelay.__file__).parents[1])}
+    command = [sys.executable, "-m", "cogrelay.cli", *argv]
+    if to_out:
+        proc = subprocess.run([*command, "--out", "/dev/full"], capture_output=True, text=True,
+                              env=env, timeout=60)
+        target = "'/dev/full'"
+    else:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        target = "stdout"
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_other_os_errors_are_not_write_errors(monkeypatch, capsys):
+    # an OSError outside the output stream, such as a pool that cannot
+    # start, is not reported as a failed write
+    def fail(*args, **kwargs):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    from cogrelay import cli
+
+    monkeypatch.setattr(cli, "estimate_outage", fail)
+    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+        main(["simulate", "--trials", "1000", "--gamma-s-db", "10"])
+    assert "cannot write" not in capsys.readouterr().err
 
 
 # Modules that only the Monte Carlo path needs.

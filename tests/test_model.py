@@ -1,17 +1,18 @@
 import dataclasses
 import math
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogrelay import model
 from cogrelay.analytic import outage_best_relay, outage_direct, outage_multi_relay
 from cogrelay.model import (
     MAX_RELAYS,
     ChannelVariances,
-    Posterior,
     Scheme,
     SystemParams,
     db_to_linear,
@@ -21,23 +22,28 @@ from cogrelay.model import (
 from cogrelay.montecarlo import estimate_outage
 
 
-class TestPosterior:
+# probabilities as the config accepts them: exact 0 and 1, subnormals and
+# everything between
+probability = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestBayesInversion:
     def test_reference_point(self):
         # 0.8*0.9 / (0.8*0.9 + 0.2*0.1) = 36/37, by hand
-        post = posterior(0.8, 0.9, 0.1)
-        assert post.pi0 == pytest.approx(0.9729729729729729, rel=1e-12)
-        assert post.pi1 == pytest.approx(0.02702702702702703, rel=1e-10)
+        pi0 = posterior(0.8, 0.9, 0.1)
+        assert pi0 == pytest.approx(0.9729729729729729, rel=1e-12)
+        assert 1.0 - pi0 == pytest.approx(0.02702702702702703, rel=1e-10)
 
     @pytest.mark.parametrize("p0", [0.1, 0.5, 0.99])
     def test_perfect_sensing(self, p0):
-        post = posterior(p0, 1.0, 0.0)
-        assert post.pi0 == 1.0
-        assert post.pi1 == 0.0
+        assert posterior(p0, 1.0, 0.0) == 1.0
 
     @pytest.mark.parametrize("p", [0.05, 0.4, 1.0])
     def test_uninformative_sensing_is_symmetric(self, p):
-        post = posterior(0.5, p, p)
-        assert post.pi0 == pytest.approx(0.5, rel=1e-14)
+        assert posterior(0.5, p, p) == pytest.approx(0.5, rel=1e-14)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="never declares"):
@@ -50,38 +56,45 @@ class TestPosterior:
 
     def test_monotone_in_sensing_quality(self):
         pds = np.linspace(0.2, 1.0, 9)
-        pi0s = [posterior(0.7, pd, 0.2).pi0 for pd in pds]
+        pi0s = [posterior(0.7, pd, 0.2) for pd in pds]
         assert all(a <= b + 1e-15 for a, b in zip(pi0s, pi0s[1:]))
         pfs = np.linspace(0.01, 0.9, 9)
-        pi0s = [posterior(0.7, 0.9, pf).pi0 for pf in pfs]
+        pi0s = [posterior(0.7, 0.9, pf) for pf in pfs]
         assert all(a >= b - 1e-15 for a, b in zip(pi0s, pi0s[1:]))
 
-    def test_pi1_is_the_complement(self):
-        post = Posterior(pi0=0.8)
-        assert post.pi1 == 1.0 - 0.8
-        assert [f.name for f in dataclasses.fields(post)] == ["pi0"]
+    @settings(max_examples=500, deadline=None)
+    @given(p0=probability, pd=probability, pf=probability)
+    def test_posterior_and_complement_are_probabilities(self, p0, pd, pf):
+        # nothing checks pi0's range: fl(p0*pd) <= fl(p0*pd + (1-p0)*pf),
+        # and rounding is monotone, so the quotient cannot pass 1
+        try:
+            pi0 = posterior(p0, pd, pf)
+        except ValueError as exc:
+            assert "never declares" in str(exc)
+            assert p0 * pd + (1.0 - p0) * pf == 0.0
+            return
+        assert 0.0 <= pi0 <= 1.0
+        assert 0.0 <= 1.0 - pi0 <= 1.0
 
 
-class TestSnrThreshold:
+class TestDecodeThresholds:
     def test_unit_snr(self):
-        assert snr_threshold(1.0, 1.0).delta == 3.0
+        assert snr_threshold(1.0, 1.0)[0] == 3.0
 
     def test_reference_point(self):
-        thr = snr_threshold(1.0, 10.0)
-        assert thr.delta == pytest.approx(0.3, rel=1e-15)
-        assert thr.delta_direct == pytest.approx(0.1, rel=1e-15)
+        delta, delta_direct = snr_threshold(1.0, 10.0)
+        assert delta == pytest.approx(0.3, rel=1e-15)
+        assert delta_direct == pytest.approx(0.1, rel=1e-15)
 
     def test_strictly_decreasing_in_gamma_s(self):
         gammas = np.logspace(-1, 3, 12)
         deltas = [snr_threshold(1.0, g) for g in gammas]
-        assert all(a.delta > b.delta and a.delta_direct > b.delta_direct
-                   for a, b in zip(deltas, deltas[1:]))
+        assert all(a[0] > b[0] and a[1] > b[1] for a, b in zip(deltas, deltas[1:]))
 
     def test_strictly_increasing_in_rate(self):
         rates = [0.25, 0.5, 1.0, 2.0, 4.0]
         deltas = [snr_threshold(r, 5.0) for r in rates]
-        assert all(a.delta < b.delta and a.delta_direct < b.delta_direct
-                   for a, b in zip(deltas, deltas[1:]))
+        assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(deltas, deltas[1:]))
 
     @pytest.mark.parametrize("bad", [
         (0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
@@ -99,8 +112,8 @@ class TestSnrThreshold:
             snr_threshold(rate, gamma_s)
 
     def test_largest_finite_threshold(self):
-        thr = snr_threshold(511.5, 1.0)
-        assert math.isfinite(thr.delta) and thr.delta_direct < thr.delta
+        delta, delta_direct = snr_threshold(511.5, 1.0)
+        assert math.isfinite(delta) and delta_direct < delta
 
 
 class TestDbConversion:
@@ -159,21 +172,27 @@ class TestSystemParams:
     def test_valid_construction(self, make_params):
         params = make_params(10.0)
         assert params.gamma_s == pytest.approx(10.0)
-        assert params.posterior == posterior(0.8, 0.9, 0.1)
-        assert params.snr_threshold == snr_threshold(1.0, params.gamma_s)
-        assert params.snr_threshold.delta == pytest.approx(0.3)
+        assert params.pi0 == posterior(0.8, 0.9, 0.1)
+        assert (params.delta, params.delta_direct) == snr_threshold(1.0, params.gamma_s)
+        assert params.delta == pytest.approx(0.3)
+
+    def test_pi1_is_the_complement(self, make_params):
+        params = make_params(10.0)
+        assert params.pi1 == 1.0 - params.pi0
+        assert "pi1" not in {f.name for f in dataclasses.fields(params)}
 
     def test_derived_attributes_stay_out_of_eq_hash_and_repr(self, make_params):
         params = make_params(10.0)
         copy = dataclasses.replace(params)
         assert copy == params and hash(copy) == hash(params)
-        assert "posterior" not in repr(params) and "snr_threshold" not in repr(params)
-        with pytest.raises(ValueError):
-            dataclasses.replace(params, posterior=posterior(0.5, 0.5, 0.5))
+        derived = ("pi0", "pi1", "delta", "delta_direct")
+        assert not set(derived) & set(re.findall(r"(\w+)=", repr(params)))
+        for name in ("pi0", "delta", "delta_direct"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(params, **{name: 0.5})
         # pool workers receive points pickled, derived attributes included
         unpickled = pickle.loads(pickle.dumps(params))
-        assert unpickled.posterior == params.posterior
-        assert unpickled.snr_threshold == params.snr_threshold
+        assert [getattr(unpickled, a) for a in derived] == [getattr(params, a) for a in derived]
 
     def test_each_derivation_runs_once_per_point(self, make_params, monkeypatch):
         # construction and replace call each model function once; the
@@ -188,7 +207,7 @@ class TestSystemParams:
         assert calls == {"posterior": 1, "snr_threshold": 1}
         point = dataclasses.replace(params, gamma_s=db_to_linear(20.0))
         assert calls == {"posterior": 2, "snr_threshold": 2}
-        assert point.snr_threshold.delta < params.snr_threshold.delta
+        assert point.delta < params.delta
         for outage in (outage_multi_relay, outage_best_relay, outage_direct):
             outage(point)
         estimate_outage((params, point), tuple(Scheme), 20_000, 1, workers=1)

@@ -91,11 +91,11 @@ class TestSampling:
         # pd=1, pf=0: every declared hole is H0, so the primary's power never
         # reaches a trial; pd=0: every one is H1, and interference only hurts
         always_h0 = [make_params(8.0, pd=1.0, pf=0.0, gamma_p_db=g) for g in (10.0, 40.0)]
-        assert always_h0[0].posterior.pi1 == 0.0
+        assert always_h0[0].pi1 == 0.0
         quiet, loud = (outage_flags(p, scheme, 20_000, 3) for p in always_h0)
         assert np.array_equal(quiet, loud)
         always_h1 = [make_params(8.0, pd=0.0, pf=0.5, gamma_p_db=g) for g in (10.0, 40.0)]
-        assert always_h1[0].posterior.pi1 == 1.0
+        assert always_h1[0].pi1 == 1.0
         weak, strong = (outage_flags(p, scheme, 20_000, 3) for p in always_h1)
         assert not np.any(quiet & ~weak) and weak.sum() > quiet.sum()
         assert not np.any(weak & ~strong) and strong.sum() > weak.sum()
@@ -109,7 +109,7 @@ class TestSampling:
         # outage exactly when the primary is active, so the flags are the
         # kernel's hypothesis draws
         params = make_params(120.0, gamma_p_db=3000.0)
-        pi1 = params.posterior.pi1
+        pi1 = params.pi1
         assert pi1 == pytest.approx(0.02702702702702703, rel=1e-12)
         u = batch_generator(8, 0).random((TRIALS_PER_BATCH, 3 * params.n_relays + 3))
         flags = outage_flags(params, Scheme.DIRECT, TRIALS_PER_BATCH, 8)
@@ -328,7 +328,7 @@ class TestBlockedKernel:
         # batch 0, the pair's 8 dB point alone in its call: alone, the no-H1
         # pair transforms no primary gain and the all-H1 pair every one
         point = _kernel_params(make_params, heterogeneous, n_relays, pd=pd, pf=pf)
-        assert point.posterior.pi1 == pytest.approx(pi1, rel=1e-12, abs=0)
+        assert point.pi1 == pytest.approx(pi1, rel=1e-12, abs=0)
         for rows in (TRIALS_PER_BATCH, 2049):
             _check_kernel((point,), PREFIX_SCHEMES[0], 0, rows)
 
@@ -368,7 +368,7 @@ class TestOutageMonotoneInSensing:
                 _line_points(make_params, heterogeneous, n_relays, (g_db,), pd=pd, pf=pf)[0]
                 for pd, pf in PAIRS_BY_PI1
             )
-            pi1 = [p.posterior.pi1 for p in points]
+            pi1 = [p.pi1 for p in points]
             assert pi1 == sorted(set(pi1))
             flags = _batch_outage_flags(points, tuple(Scheme), 77, 1)
             for lower, higher in zip(flags, flags[1:]):
@@ -695,17 +695,15 @@ class TestDecodingSetDistribution:
         # independent sample-path draw straight from numpy, compared to the
         # grouped closed-form pmf
         params = make_params(10.0)
-        post = params.posterior
-        thr = params.snr_threshold
-        h0, h1 = _first_hop(params, thr.delta)
+        h0, h1 = _first_hop(params, params.delta)
         pmf0, pmf1 = _cardinality_pmf(h0), _cardinality_pmf(h1)
-        pmf = [post.pi0 * a + post.pi1 * b for a, b in zip(pmf0, pmf1)]
+        pmf = [params.pi0 * a + params.pi1 * b for a, b in zip(pmf0, pmf1)]
         n, trials = params.n_relays, 10**6
         rng = np.random.default_rng(2468)
-        alpha = (rng.random(trials) < post.pi1).astype(float)
+        alpha = (rng.random(trials) < params.pi1).astype(float)
         g_si = rng.exponential(1.0, (trials, n))
         g_pi = rng.exponential(0.2, (trials, n))
-        decoded = g_si > thr.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
+        decoded = g_si > params.delta * (alpha[:, None] * params.gamma_p * g_pi + 1.0)
         counts = np.bincount(decoded.sum(axis=1), minlength=n + 1)
         for k in range(n + 1):
             se = math.sqrt(pmf[k] * (1 - pmf[k]) / trials)
