@@ -174,12 +174,9 @@ def _cardinality_pmf(groups: list[tuple[float, float, int]]) -> list[float]:
     relay distinct this is the O(N^2) recursion of Y. Hong (CSDA 59:41-51,
     2013).  All terms are nonnegative, so the accumulation cancels nothing.
     """
-    pmf = None
+    pmf = [1.0]  # the empty set's; 1.0 * b and 0.0 + b are exact, so no term changes
     for f, s, m in groups:
         group = [math.comb(m, j) * s ** j * f ** (m - j) for j in range(m + 1)]
-        if pmf is None:  # one group alone is already the pmf, term for term
-            pmf = group
-            continue
         out = [0.0] * (len(pmf) + m)
         for i, a in enumerate(pmf):
             for j, b in enumerate(group):
@@ -209,15 +206,18 @@ def _first_hop(params: SystemParams, delta: float) -> tuple[list, list]:
 
 
 def _relay_scheme_outage(params: SystemParams, tail_h0, tail_h1) -> OutageBreakdown:
-    h0, h1 = _first_hop(params, params.delta)
-    pmf0 = _cardinality_pmf(h0)
-    pmf1 = _cardinality_pmf(h1)
+    """Sum over k of Pr(|D| = k) * Pr(second hop fails | k) under H0 and H1, weighted by the
+    posterior.  A scheme gives its second-hop tails, called once per k as
+    tail_h0(delta, sigma2_d, k) and tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k)."""
+    v, delta = params.variances, params.delta
+    pmf0, pmf1 = map(_cardinality_pmf, _first_hop(params, delta))
     sizes = range(1, params.n_relays + 1)
     return OutageBreakdown(
         empty_h0=params.pi0 * pmf0[0],
         empty_h1=params.pi1 * pmf1[0],
-        nonempty_h0=params.pi0 * math.fsum(pmf0[k] * tail_h0(k) for k in sizes),
-        nonempty_h1=params.pi1 * math.fsum(pmf1[k] * tail_h1(k) for k in sizes),
+        nonempty_h0=params.pi0 * math.fsum(pmf0[k] * tail_h0(delta, v.sigma2_d, k) for k in sizes),
+        nonempty_h1=params.pi1 * math.fsum(
+            pmf1[k] * tail_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k) for k in sizes),
     )
 
 
@@ -226,13 +226,7 @@ def outage_multi_relay(params: SystemParams) -> OutageBreakdown:
     and the destination combines the branches coherently, so the second hop
     fails only when the *sum* of member gains falls below the threshold.
     """
-    v = params.variances
-    delta = params.delta
-    return _relay_scheme_outage(
-        params,
-        tail_h0=lambda k: p_sum_below_h0(delta, v.sigma2_d, k),
-        tail_h1=lambda k: p_sum_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k),
-    )
+    return _relay_scheme_outage(params, p_sum_below_h0, p_sum_below_h1)
 
 
 def outage_best_relay(params: SystemParams) -> OutageBreakdown:
@@ -244,13 +238,7 @@ def outage_best_relay(params: SystemParams) -> OutageBreakdown:
     below the threshold.  Since max <= sum path by path, this scheme's outage
     dominates the multi-relay one.
     """
-    v = params.variances
-    delta = params.delta
-    return _relay_scheme_outage(
-        params,
-        tail_h0=lambda k: p_max_below_h0(delta, v.sigma2_d, k),
-        tail_h1=lambda k: p_max_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k),
-    )
+    return _relay_scheme_outage(params, p_max_below_h0, p_max_below_h1)
 
 
 def outage_direct(params: SystemParams) -> OutageBreakdown:

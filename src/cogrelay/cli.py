@@ -585,12 +585,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     data = _read_config(args.config) if args.config else {}
     data.update({k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None})
-    if args.pd is not None or args.pf is not None:
-        try:
-            pd, pf = data.get("sensing_pairs", _DEFAULTS["sensing_pairs"])[0]
-        except (TypeError, ValueError, IndexError, KeyError):
-            pd = pf = None
-        data["sensing_pairs"] = [[pd if args.pd is None else args.pd, pf if args.pf is None else args.pf]]
+    pd, pf = args.pd, args.pf
+    if (pd is None) != (pf is None):
+        # one flag: the config's first pair gives the other half where it is
+        # a pair; where it is not, build_spec names the fault as written
+        pairs = data.get("sensing_pairs")
+        pairs = _DEFAULTS["sensing_pairs"] if pairs is None else pairs
+        first = pairs[0] if isinstance(pairs, list) and pairs else None
+        if isinstance(first, list) and len(first) == 2:
+            pd, pf = first[0] if pd is None else pd, first[1] if pf is None else pf
+    if pd is not None and pf is not None:
+        data["sensing_pairs"] = [[pd, pf]]
     return build_spec(data)
 
 
@@ -646,7 +651,7 @@ class _Output:
     """stdout or the --out file, for a command to write to.  An OSError from
     writing, flushing or closing it is raised as _WriteFailed, so main tells
     it from an OSError raised elsewhere; a closed pipe stays a
-    BrokenPipeError."""
+    BrokenPipeError.  main exits 3 on either; a FAIL verdict exits 1."""
 
     def __init__(self, path: str | None):
         self.name = "stdout" if path is None else repr(path)
@@ -709,10 +714,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if args.out is None:
             _silence_stdout()
-        return 1
+        return 3
     except BrokenPipeError:  # the reader closed stdout
         _silence_stdout()
-        return 1
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -812,6 +812,21 @@ class TestBestRelayOutage:
             assert_matches_oracle(params, Scheme.BEST_RELAY)
 
 
+def test_relay_schemes_call_each_tail_once_per_size_through_the_module_globals(monkeypatch, make_params):
+    # bench/layers.py counts analytic.tail_calls by wrapping these names on the module
+    tails = ("p_sum_below_h0", "p_sum_below_h1", "p_max_below_h0", "p_max_below_h1")
+    params = make_params(10.0, n_relays=6)
+    expected = (outage_multi_relay(params), outage_best_relay(params))
+    sizes = {name: [] for name in tails}
+    for name in tails:
+        def counted(*args, _tail=getattr(analytic, name), _sizes=sizes[name]):
+            _sizes.append(args[-1])
+            return _tail(*args)
+        monkeypatch.setattr(analytic, name, counted)
+    assert (analytic.outage_multi_relay(params), analytic.outage_best_relay(params)) == expected
+    assert sizes == {name: [1, 2, 3, 4, 5, 6] for name in tails}
+
+
 class TestDirectOutage:
     def test_perfect_sensing_kills_h1_term(self, make_params):
         b = outage_direct(make_params(10.0, pd=1.0, pf=0.0))

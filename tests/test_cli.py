@@ -691,6 +691,8 @@ class TestMainEntry:
         pytest.param(["--bogus"], None, id="unknown-flag"),
         pytest.param(["--" + "x" * 300], None, id="unknown-flag-too-long"),
         pytest.param(["--pd"], None, id="missing-value"),
+        pytest.param(["--pd", "0.9"], {"sensing_pairs": [[0.9]]}, id="pd-flag-over-short-pair"),
+        pytest.param(["--pf", "0.1"], {"sensing_pairs": 5}, id="pf-flag-over-malformed-pairs"),
     ],
 )
 def test_bad_input_exits_2_before_any_output(tmp_path, flags, config):
@@ -753,6 +755,39 @@ def test_flag_and_config_values_get_the_same_error(flags, config, tmp_path, caps
     assert from_flag.err == from_file.err
     assert from_flag.err.startswith("error: ") and from_flag.err.count("\n") == 1
     assert from_flag.out == from_file.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, config, error",
+    [
+        (["--pd", "0.9"], {"sensing_pairs": [[0.9]]}, "sensing_pairs[0]: expected a [pd, pf] pair, got [0.9]"),
+        (["--pf", "0.1"], {"sensing_pairs": [[0.9]]}, "sensing_pairs[0]: expected a [pd, pf] pair, got [0.9]"),
+        (["--pd", "0.9"], {"sensing_pairs": 5}, "sensing_pairs: must be a non-empty list of [pd, pf] pairs"),
+        (["--pd", "0.9"], {"sensing_pairs": []}, "sensing_pairs: must be a non-empty list of [pd, pf] pairs"),
+        (["--pd", "0.9"], {"sensing_pairs": [{"a": 1, "b": 2}]},
+         "sensing_pairs[0]: expected a [pd, pf] pair, got {'a': 1, 'b': 2}"),
+        (["--pd", "0.9"], {"sensing_pairs": [[0.8, None]]}, "sensing_pairs[0].pf: expected a number, got None"),
+    ],
+    ids=["pd-short-pair", "pf-short-pair", "pd-not-a-list", "pd-empty-list", "pd-mapping-pair", "pd-null-pf"],
+)
+def test_one_sensing_flag_over_a_malformed_config_pair_reports_the_config(flag, config, error, tmp_path,
+                                                                          capsys):
+    # the config's first pair gives the half no flag gives only where it
+    # is a pair; otherwise the error is the one the config alone gets
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["analytic", "--config", str(path), *flag]) == 2
+    with_flag = capsys.readouterr()
+    assert main(["analytic", "--config", str(path)]) == 2
+    assert with_flag.err == capsys.readouterr().err == f"error: {error}\n"
+    assert with_flag.out == ""
+
+
+def test_one_sensing_flag_takes_the_other_half_from_the_config_pair(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sensing_pairs": [[None, 0.2], [0.7, 0.3]]}))
+    assert main(["analytic", "--config", str(path), "--pd", "0.8"]) == 0
+    assert capsys.readouterr().out.startswith("# operating point: gamma_s=0 dB, pd=0.8, pf=0.2, N=6\n")
 
 
 @pytest.mark.parametrize(
@@ -823,9 +858,9 @@ def test_help_text_is_pinned(command, description, monkeypatch, capsys):
     assert captured.err == ""
 
 
-def test_closed_stdout_pipe_exits_1_without_traceback():
+def test_closed_stdout_pipe_exits_3_without_traceback():
     """A reader that stops after the first line, like `| head -1`, ends the
-    sweep with exit code 1 and nothing on stderr."""
+    sweep with exit code 3 and nothing on stderr."""
     # 2,232 rows, far more than a pipe buffer holds, so writes outlast the reader
     flags = ["--n-relays", ",".join(map(str, range(1, 25))),
              "--gamma-s-db", ",".join(map(str, range(31)))]
@@ -837,17 +872,21 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
     assert proc.stdout.readline().decode() == CSV_HEADER + "\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
+    assert proc.returncode == 3
     assert err == b""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
-@pytest.mark.parametrize("argv", [["sweep", "--n-relays", "2", "--gamma-s-db", "0"], ["analytic"]],
-                         ids=["sweep", "analytic"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n-relays", "2", "--gamma-s-db", "0"],
+    ["analytic"],
+    ["validate", "--trials", "10000", "--gamma-s-db", "10", "--scheme", "direct"],
+], ids=["sweep", "analytic", "validate"])
 def test_failed_write_is_one_error_line(argv, to_out):
-    """A write that fails (a full disk) ends the command with exit code 1
-    and one `error:` line naming the output, on stdout and on --out alike."""
+    """A write that fails (a full disk) ends the command with exit code 3,
+    not a FAIL verdict's 1, and one `error:` line naming the output, on
+    stdout and on --out alike."""
     env = {**os.environ, "PYTHONPATH": str(Path(cogrelay.__file__).parents[1])}
     command = [sys.executable, "-m", "cogrelay.cli", *argv]
     if to_out:
@@ -859,8 +898,23 @@ def test_failed_write_is_one_error_line(argv, to_out):
             proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True,
                                   env=env, timeout=60)
         target = "stdout"
-    assert proc.returncode == 1
+    assert proc.returncode == 3
     assert proc.stderr == f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_validate_fail_verdict_exits_1_and_a_failed_write_exits_3(monkeypatch, capsys):
+    from cogrelay import cli
+
+    # every analytic value off by 0.05, so every point exceeds z = 3
+    validate = cli.validate_points
+    monkeypatch.setattr(cli, "validate_points", lambda rows, trials: validate(
+        [dataclasses.replace(r, analytic_outage=r.analytic_outage + 0.05) for r in rows], trials))
+    argv = ["validate", "--trials", "10000", "--gamma-s-db", "10", "--scheme", "direct"]
+    assert main(argv) == 1
+    assert "verdict:          FAIL" in capsys.readouterr().out
+    assert main([*argv, "--out", "/dev/full"]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write '/dev/full'")
 
 
 def test_other_os_errors_are_not_write_errors(monkeypatch, capsys):

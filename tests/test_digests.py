@@ -8,6 +8,11 @@ digest was taken before a refactor that claimed bit-identical output, so a
 change that moves one printed digit fails here, not only in a benchmark
 run.  A change that means to move the numbers updates the digests and says
 why.
+
+The CSV prints 10 significant digits, so it can hide a change in the last
+bits of a closed form.  The analytic grids (trials 0) therefore also pin a
+digest of the repr of every ``OutageBreakdown`` field, the four parts and
+the total, of each (scheme, point) in sweep order.
 """
 
 import hashlib
@@ -15,7 +20,7 @@ import io
 
 import pytest
 
-from cogrelay.cli import build_spec, run_sweep
+from cogrelay.cli import _params_at, analytic_outage, build_spec, run_sweep, sweep_points
 
 GRIDS = {
     "validate-like": {
@@ -90,3 +95,33 @@ def csv_digest(config: dict) -> str:
 @pytest.mark.parametrize("name", GRIDS)
 def test_sweep_csv_digest(name):
     assert csv_digest(GRIDS[name]) == DIGESTS[name]
+
+
+ANALYTIC_GRIDS = [name for name, config in GRIDS.items() if not config.get("trials")]
+
+BREAKDOWN_DIGESTS = {
+    "analytic-grid-like": "ac0414ad1ccd6da888ce2dc9a571509dbfb1c8c340f4139cff837c5987b74e0f",
+    "analytic-hetero-like": "ab460537b25d8759d532ff9446ec9f4438a460940c0a6d1c36c521c5e21ed5fe",
+    "edge-sigma2_si-1e-300": "bc9e08c67ce643917552fc2dafcfaccfe28787641ff47e3d7fd20a5790a34389",
+    "edge-gamma_p-3080-dB": "c6472f1ef6fceb937e88368750221c7ffd334b87c5c9fb3b0443c05a2d205034",
+    "edge-sigma2_d-1e-308": "3bdcfc10f52f56df9a45677458bbac813dc1c6d953e52cc54f2bcef02709c49b",
+    "edge-sigma2_sd-1e-320": "4c4f4f39267f1fe0111e13c16d925e0116044cfc8c84033f6a2c5de1708a54e0",
+    "edge-interference-underflow": "bc96caff2b0aac35ed798f7b422ec46b2b512d19f4bae168538218d020924f1f",
+    "edge-interference-overflow": "c6472f1ef6fceb937e88368750221c7ffd334b87c5c9fb3b0443c05a2d205034",
+    "edge-zero-threshold": "4a8b0cc4e0eaf2c3873bcc5f5741995fc552216d7213e6d244da21eb374d86a4",
+}
+
+
+def breakdown_digest(config: dict) -> str:
+    spec = build_spec(config)
+    lines = {(p.pd, p.pf, p.n_relays): p for p in spec.lines}
+    h = hashlib.sha256()
+    for scheme, pd, pf, n, g in sweep_points(spec):
+        b = analytic_outage(_params_at(lines[pd, pf, n], g), scheme)
+        h.update(repr((b.empty_h0, b.empty_h1, b.nonempty_h0, b.nonempty_h1, b.total)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", ANALYTIC_GRIDS)
+def test_breakdown_digest(name):
+    assert breakdown_digest(GRIDS[name]) == BREAKDOWN_DIGESTS[name]
