@@ -7,6 +7,10 @@ product of per-relay success/failure factors for each of the 2^N relay
 subsets, in bitmask order.  They share the first- and second-hop building
 blocks with the package, so a disagreement isolates the weighting step.
 Exponential in N, so the tests stay at N <= MAX_ORACLE_RELAYS.
+``nested_loop_cardinality_pmf`` is the package's decoding-set pmf as it was
+built before a relay in a group of its own took a two-term pass: one
+binomial per group, convolved by a nested loop.  The package must match it
+bit for bit.
 
 Exact references: ``mp_sum_below_h1``, ``mp_max_below_h1`` and ``mp_outage``
 evaluate the second-hop tails and the whole outage breakdown in mpmath from
@@ -138,6 +142,21 @@ def enumerated_cardinality_pmf(params):
         for k, w in _subset_probabilities(fail):
             mixed[k].append(weight * w)
     return tuple(math.fsum(terms) for terms in mixed)
+
+
+def nested_loop_cardinality_pmf(groups):
+    """Entry k: probability that exactly k relays decode, given the first-hop
+    (failure, success, relay count) of each group of alike relays; every
+    group, a single relay too, forms its binomial and is convolved in."""
+    pmf = [1.0]
+    for f, s, m in groups:
+        group = [math.comb(m, j) * s ** j * f ** (m - j) for j in range(m + 1)]
+        out = [0.0] * (len(pmf) + m)
+        for i, a in enumerate(pmf):
+            for j, b in enumerate(group):
+                out[i + j] += a * b
+        pmf = out
+    return pmf
 
 
 def alternating_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):

@@ -39,6 +39,7 @@ from oracle import (
     mp_max_below_h1,
     mp_outage,
     mp_sum_below_h1,
+    nested_loop_cardinality_pmf,
 )
 
 BREAKDOWN_FIELDS = ("total", "empty_h0", "empty_h1", "nonempty_h0", "nonempty_h1")
@@ -856,7 +857,39 @@ def cardinality_pmf(params):
     return [params.pi0 * a + params.pi1 * b for a, b in zip(_cardinality_pmf(h0), _cardinality_pmf(h1))]
 
 
+def relay_group(x, m):
+    """First-hop (failure, success, relay count) of m alike relays whose
+    threshold over variance is x."""
+    return -math.expm1(-x), math.exp(-x), m
+
+
+@st.composite
+def relay_groups(draw):
+    """1 to 24 relays in groups of 1 to 4, in any order; x runs from 0
+    (failure 0, success 1) past 745, where the success is exactly 0.0."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=24))
+    groups, n = [], 0
+    for m in sizes:
+        if n + m > 24:
+            break
+        groups.append(relay_group(draw(st.floats(0.0, 750.0)), m))
+        n += m
+    return groups
+
+
 class TestDecodingCardinalityPmf:
+    @given(groups=relay_groups())
+    @example(groups=[relay_group(x, 1) for x in (0.0, 5e-324, 1e-310, 1e-17, 0.01, 0.1, 0.3, 0.7,
+                                                  1.0, 2.0, 5.0, 10.0, 40.0, 300.0, 745.0, 746.0)])
+    @example(groups=[relay_group(0.3, 24)])
+    @example(groups=[relay_group(x, m) for x in (1e-310, 0.2, 1.5, 9.0, 700.0, 746.0) for m in (1, 3)])
+    @settings(deadline=None)
+    def test_bit_identical_to_the_nested_loop(self, groups):
+        # a group of one relay takes a two-term pass instead of forming its
+        # binomial and running the nested loop; every term keeps its bits
+        assert list(map(repr, _cardinality_pmf(groups))) == list(
+            map(repr, nested_loop_cardinality_pmf(groups)))
+
     def test_sums_to_one(self, make_params):
         pmf = cardinality_pmf(make_params(10.0))
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
