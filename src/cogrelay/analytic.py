@@ -173,9 +173,17 @@ def _cardinality_pmf(groups: list[tuple[float, float, int]]) -> list[float]:
     the Poisson-binomial pmf: one binomial per group, convolved; with every
     relay distinct this is the O(N^2) recursion of Y. Hong (CSDA 59:41-51,
     2013).  All terms are nonnegative, so the accumulation cancels nothing.
+
+    A relay in a group of its own is one two-term pass, term k becoming
+    pmf[k-1]*s + pmf[k]*f.  Its bits are the nested loop's: that loop's
+    binomial is exactly [f, s], and it adds the same two products in the
+    same order into 0.0, where 0.0 + x is x for the nonnegative x here.
     """
     pmf = [1.0]  # the empty set's; 1.0 * b and 0.0 + b are exact, so no term changes
     for f, s, m in groups:
+        if m == 1:
+            pmf = [a * s + b * f for a, b in zip([0.0] + pmf, pmf + [0.0])]
+            continue
         group = [math.comb(m, j) * s ** j * f ** (m - j) for j in range(m + 1)]
         out = [0.0] * (len(pmf) + m)
         for i, a in enumerate(pmf):
