@@ -375,17 +375,14 @@ def iter_sweep_rows(spec: SweepSpec, workers: int = 1):
         )
 
 
-def run_sweep(spec: SweepSpec, out, workers: int = 1) -> int:
+def run_sweep(spec: SweepSpec, out, workers: int = 1) -> None:
     """Stream the sweep CSV to `out`, flushing per row so an interrupted run
-    still leaves every completed row valid.  Returns the row count."""
+    still leaves every completed row valid."""
     out.write(CSV_HEADER + "\n")
     out.flush()
-    count = 0
     for row in iter_sweep_rows(spec, workers=workers):
         out.write(row.csv_line(spec.trials, spec.seed) + "\n")
         out.flush()
-        count += 1
-    return count
 
 
 def _z_score(analytic: float, p_hat: float, stderr: float, trials: int) -> float:
@@ -482,16 +479,14 @@ def validate_points(rows: list[SweepRow], trials: int) -> ValidationReport:
     )
 
 
-def _check_validate_trials(trials: int) -> None:
-    if trials < VALIDATE_MIN_TRIALS:
-        raise ConfigError(
-            f"validate needs trials >= {VALIDATE_MIN_TRIALS} for the z test to "
-            f"mean anything, got {trials}"
-        )
+def _check_trials(command: str, trials: int, fewest: int) -> None:
+    if trials < fewest:
+        raise ConfigError(f"{command} needs --trials >= {fewest}, got {trials}")
 
 
 def run_validate(spec: SweepSpec, workers: int = 1) -> ValidationReport:
-    _check_validate_trials(spec.trials)
+    # below this many trials the z test means nothing
+    _check_trials("validate", spec.trials, VALIDATE_MIN_TRIALS)
     rows = list(iter_sweep_rows(spec, workers=workers))
     return validate_points(rows, spec.trials)
 
@@ -571,14 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("analytic", "closed-form outage breakdown at the first grid point"),
-        ("simulate", "Monte Carlo outage estimate at the first grid point"),
-        ("sweep", "emit the full sweep grid as CSV"),
-        ("validate", "cross-check closed forms vs simulation; exit 0 on PASS"),
-    ):
-        p = sub.add_parser(name, help=desc, description=desc)
-        _add_common_flags(p)
+    for name, (desc, _, _) in _COMMANDS.items():
+        _add_common_flags(sub.add_parser(name, help=desc, description=desc))
     return parser
 
 
@@ -643,6 +632,16 @@ def _cmd_validate(spec: SweepSpec, args, out) -> int:
     return 0 if report.passed else 1
 
 
+# subcommand -> (description, handler, fewest --trials)
+_COMMANDS = {
+    "analytic": ("closed-form outage breakdown at the first grid point", _cmd_analytic, 0),
+    "simulate": ("Monte Carlo outage estimate at the first grid point", _cmd_simulate, 1),
+    "sweep": ("emit the full sweep grid as CSV", _cmd_sweep, 0),
+    "validate": ("cross-check closed forms vs simulation; exit 0 on PASS", _cmd_validate,
+                 VALIDATE_MIN_TRIALS),
+}
+
+
 class _WriteFailed(Exception):
     """A write, flush or close of the command's output failed."""
 
@@ -650,8 +649,8 @@ class _WriteFailed(Exception):
 class _Output:
     """stdout or the --out file, for a command to write to.  An OSError from
     writing, flushing or closing it is raised as _WriteFailed, so main tells
-    it from an OSError raised elsewhere; a closed pipe stays a
-    BrokenPipeError.  main exits 3 on either; a FAIL verdict exits 1."""
+    it from an OSError raised elsewhere.  main exits 3 on it; a FAIL verdict
+    exits 1."""
 
     def __init__(self, path: str | None):
         self.name = "stdout" if path is None else repr(path)
@@ -663,8 +662,8 @@ class _Output:
     def _call(self, method, *args):
         try:
             return method(*args)
-        except BrokenPipeError:
-            raise
+        except BrokenPipeError:  # no message: no reader is left to see one
+            raise _WriteFailed() from None
         except OSError as exc:
             raise _WriteFailed(f"cannot write {self.name}: {exc.strerror}") from None
 
@@ -680,28 +679,14 @@ class _Output:
         self._call(self.stream.flush if self.stream is sys.stdout else self.stream.close)
 
 
-def _silence_stdout() -> None:
-    # point stdout at devnull so the interpreter's final flush cannot raise
-    # again (the SIGPIPE note in Python's signal module docs)
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         spec = _spec_from_args(args)
         _integer(args.workers, "workers", 1, MAX_WORKERS, f"must be an integer in [1, {MAX_WORKERS}]")
+        _, handler, fewest = _COMMANDS[args.command]
         # checked before --out is opened, which truncates it
-        if args.command == "simulate" and spec.trials < 1:
-            raise ConfigError("simulate needs --trials >= 1")
-        if args.command == "validate":
-            _check_validate_trials(spec.trials)
-        handler = {
-            "analytic": _cmd_analytic,
-            "simulate": _cmd_simulate,
-            "sweep": _cmd_sweep,
-            "validate": _cmd_validate,
-        }[args.command]
+        _check_trials(args.command, spec.trials, fewest)
         out = _Output(args.out)
         try:
             return handler(spec, args, out)
@@ -711,12 +696,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _WriteFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if str(exc):
+            print(f"error: {exc}", file=sys.stderr)
         if args.out is None:
-            _silence_stdout()
-        return 3
-    except BrokenPipeError:  # the reader closed stdout
-        _silence_stdout()
+            # point stdout at devnull so the interpreter's final flush cannot
+            # raise again (the SIGPIPE note in Python's signal module docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
 
 

@@ -39,7 +39,7 @@ class Scheme(str, enum.Enum):
     BEST_RELAY = "best"
     DIRECT = "direct"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 

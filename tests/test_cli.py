@@ -375,7 +375,7 @@ class TestSweep:
 class TestValidate:
     def test_minimum_trials_precondition(self):
         spec = build_spec({"gamma_s_db": [10.0], "trials": 1000})
-        with pytest.raises(ConfigError, match="10000"):
+        with pytest.raises(ConfigError, match="^validate needs --trials >= 10000, got 1000$"):
             run_validate(spec)
 
     def test_small_grid_passes(self):
@@ -514,15 +514,16 @@ class TestMainEntry:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command, trials", [("simulate", []), ("validate", ["--trials", "10"])], ids=["simulate", "validate"]
-    )
-    def test_trials_error_leaves_out_file_untouched(self, command, trials, tmp_path, capsys):
+    @pytest.mark.parametrize("command, trials, message", [
+        ("simulate", [], "simulate needs --trials >= 1, got 0"),
+        ("validate", ["--trials", "10"], "validate needs --trials >= 10000, got 10"),
+    ], ids=["simulate", "validate"])
+    def test_trials_error_leaves_out_file_untouched(self, command, trials, message, tmp_path, capsys):
         out_path = tmp_path / "keep.txt"
         out_path.write_text("previous\n")
         rc = main([command, "--gamma-s-db", "10", *trials, "--out", str(out_path)])
         assert rc == 2
-        assert "trials" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert out_path.read_text() == "previous\n"
 
     def test_simulate_prints_estimate(self, capsys):
@@ -917,18 +918,27 @@ def test_validate_fail_verdict_exits_1_and_a_failed_write_exits_3(monkeypatch, c
     assert capsys.readouterr().err.startswith("error: cannot write '/dev/full'")
 
 
-def test_other_os_errors_are_not_write_errors(monkeypatch, capsys):
-    # an OSError outside the output stream, such as a pool that cannot
-    # start, is not reported as a failed write
-    def fail(*args, **kwargs):
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    from cogrelay import cli
-
-    monkeypatch.setattr(cli, "estimate_outage", fail)
-    with pytest.raises(OSError, match="Resource temporarily unavailable"):
-        main(["simulate", "--trials", "1000", "--gamma-s-db", "10"])
-    assert "cannot write" not in capsys.readouterr().err
+@pytest.mark.parametrize("error, code", [(OSError, "EAGAIN"), (BrokenPipeError, "EPIPE")],
+                         ids=["EAGAIN", "EPIPE"])
+def test_other_os_errors_are_not_write_errors(error, code):
+    """An OSError outside the output stream, such as a pool that cannot
+    start, is not reported as a failed write; nor is a broken pipe raised
+    there.  Each case runs in its own interpreter, so that no handling of
+    it can touch the test run's stdout."""
+    exc = error(getattr(errno, code), os.strerror(getattr(errno, code)))  # EAGAIN: a BlockingIOError
+    program = (
+        "import sys\nfrom cogrelay import cli\n"
+        f"def fail(*args, **kwargs):\n    raise {error.__name__}{exc.args!r}\n"
+        "cli.estimate_outage = fail\n"
+        "sys.exit(cli.main(['simulate', '--trials', '1000', '--gamma-s-db', '10']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cogrelay.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode not in (0, 3)
+    # raised out of main: its traceback ends the output
+    assert proc.stderr.splitlines()[-1] == f"{type(exc).__name__}: {exc}"
+    assert "error: cannot write" not in proc.stderr
 
 
 # Modules that only the Monte Carlo path needs.

@@ -128,6 +128,11 @@ class TestScheme:
     def test_scheme_names(self):
         assert {s.value for s in Scheme} == {"multi", "best", "direct"}
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_text_is_the_value(self, scheme):
+        # without __str__, str(Scheme.MULTI_RELAY) would be "Scheme.MULTI_RELAY"
+        assert str(scheme) == format(scheme) == f"{scheme}" == scheme.value
+
 
 class TestChannelVariances:
     def test_homogeneous_factory(self):
