@@ -10,7 +10,12 @@ Exponential in N, so the tests stay at N <= MAX_ORACLE_RELAYS.
 ``nested_loop_cardinality_pmf`` is the package's decoding-set pmf as it was
 built before a relay in a group of its own took a two-term pass: one
 binomial per group, convolved by a nested loop.  The package must match it
-bit for bit.
+bit for bit.  ``standalone_sum_below_h1`` and ``standalone_max_below_h1`` are
+the H1 second-hop tails as they were before they started from the H0 tail
+the relay schemes had already computed at the same k: each forms that H0
+part itself.  ``group_count_first_hop`` is the first hop as it was before it
+counted each group's relays in one pass: one ``list.count`` per group.  The
+package must match all three bit for bit.
 
 Exact references: ``mp_sum_below_h1``, ``mp_max_below_h1`` and ``mp_outage``
 evaluate the second-hop tails and the whole outage breakdown in mpmath from
@@ -52,6 +57,7 @@ import numpy as np
 
 from cogrelay.analytic import (
     OutageBreakdown,
+    _interference_ratio,
     p_below_h0,
     p_below_h1,
     p_max_below_h0,
@@ -61,6 +67,7 @@ from cogrelay.analytic import (
 )
 from cogrelay.model import Scheme
 from cogrelay.montecarlo import TRIALS_PER_BATCH, batch_generator, exponential_from_uniform
+from cogrelay.specfun import reg_lower_gamma, scaled_upper_gamma_term
 
 MAX_ORACLE_RELAYS = 12
 
@@ -157,6 +164,50 @@ def nested_loop_cardinality_pmf(groups):
                 out[i + j] += a * b
         pmf = out
     return pmf
+
+
+def standalone_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
+    """Pr(sum of k relay gains < gamma_p*delta*interference gain + delta) as
+    P(k, a) + ``scaled_upper_gamma_term`` of r = rho/(1 + rho), where
+    a = delta/sigma2_d and rho is the interference ratio; P(k, a) is formed
+    here, not taken from the H0 tail."""
+    a = delta / sigma2_d
+    rho = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
+    r = 1.0 if math.isinf(rho) else rho / (1.0 + rho)
+    return min(reg_lower_gamma(k, a) + scaled_upper_gamma_term(k, a, r), 1.0)
+
+
+def standalone_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
+    """Pr(max of k relay gains < gamma_p*delta*interference gain + delta) as
+    sum_{n=0}^{k} C(k,n) q^{k-n} c^n E[v^n], with q = 1 - e^{-delta/sigma2_d},
+    c = 1 - q and E[v^n] = prod_{j<=n} j*r/(1 + j*r); its n = 0 term, the H0
+    tail q^k, is formed here."""
+    r = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
+    if math.isinf(k * r):
+        return 1.0
+    q = -math.expm1(-delta / sigma2_d)
+    c = math.exp(-delta / sigma2_d)
+    terms, moment = [], 1.0  # moment = E[v^n]
+    for n in range(k + 1):
+        terms.append(math.comb(k, n) * q ** (k - n) * c ** n * moment)
+        moment *= (n + 1) * r / (1.0 + (n + 1) * r)
+    return math.fsum(terms)
+
+
+def group_count_first_hop(params, delta):
+    """First-hop (failure, success, relay count) under H0 and under H1 of
+    each group of relays with equal (sigma2_si, sigma2_pi), in first-seen
+    order; each group's count is one ``list.count``, O(N^2) in all."""
+    v = params.variances
+    relays = list(zip(v.sigma2_si, v.sigma2_pi))
+    h0, h1 = [], []
+    for s2s, s2p in dict.fromkeys(relays):
+        m = relays.count((s2s, s2p))
+        success = math.exp(-delta / s2s)
+        r = _interference_ratio(s2p, params.gamma_p, delta, s2s)
+        h0.append((p_below_h0(delta, s2s), success, m))
+        h1.append((p_below_h1(delta, s2s, s2p, params.gamma_p), success / (1.0 + r), m))
+    return h0, h1
 
 
 def alternating_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):

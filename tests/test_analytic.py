@@ -36,10 +36,13 @@ from oracle import (
     asymptotic_outage,
     enumerated_cardinality_pmf,
     enumerated_outage,
+    group_count_first_hop,
     mp_max_below_h1,
     mp_outage,
     mp_sum_below_h1,
     nested_loop_cardinality_pmf,
+    standalone_max_below_h1,
+    standalone_sum_below_h1,
 )
 
 BREAKDOWN_FIELDS = ("total", "empty_h0", "empty_h1", "nonempty_h0", "nonempty_h1")
@@ -68,6 +71,18 @@ def random_variances(rng, n):
 
 def assert_rel_close(got, ref, rel=1e-12):
     assert abs(got - ref) <= rel * abs(ref), (got, ref)
+
+
+def sum_tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
+    """``p_sum_below_h1`` at k, given the H0 tail at the same k as the
+    multi-relay scheme gives it."""
+    return p_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k)
+
+
+def max_tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
+    """``p_max_below_h1`` at k, given the H0 tail at the same k as the
+    best-relay scheme gives it."""
+    return p_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k)
 
 
 def assert_matches_oracle(params, scheme):
@@ -159,7 +174,7 @@ class TestFirstHopProbs:
         assert_rel_close(p_below_h1(delta, s2s, s2p, gp), float(1 - success), rel=1e-15)
         for k in (1, 2, 24):
             ref = float(mp_max_below_h1(delta, s2s, s2p, gp, k))
-            assert_rel_close(p_max_below_h1(delta, s2s, s2p, gp, k), ref, rel=1e-14)
+            assert_rel_close(max_tail_h1(delta, s2s, s2p, gp, k), ref, rel=1e-14)
         params = make_params(
             gamma_p_db=100.0, n_relays=2, sigma2_si=s2s, sigma2_pi=s2p, sigma2_d=s2s, sigma2_pd=s2p
         )
@@ -192,8 +207,8 @@ class TestFirstHopProbs:
 class TestSecondHopSum:
     def test_zero_threshold(self):
         assert p_sum_below_h0(0.0, 1.0, 3) == 0.0
-        assert p_sum_below_h1(0.0, 1.0, 0.2, 10.0, 3) == 0.0
-        assert p_max_below_h1(0.0, 1.0, 0.2, 10.0, 3) == 0.0
+        assert sum_tail_h1(0.0, 1.0, 0.2, 10.0, 3) == 0.0
+        assert max_tail_h1(0.0, 1.0, 0.2, 10.0, 3) == 0.0
 
     def test_single_relay_reduces_to_exponential_cdf(self):
         assert p_sum_below_h0(0.3, 1.0, 1) == pytest.approx(
@@ -207,7 +222,7 @@ class TestSecondHopSum:
         )
 
     def test_h1_reference_point_vs_quadrature(self):
-        got = p_sum_below_h1(0.3, 1.0, 0.2, 10.0, 2)
+        got = sum_tail_h1(0.3, 1.0, 0.2, 10.0, 2)
         assert got == pytest.approx(0.22445592522382665, rel=1e-10)
         assert got == pytest.approx(
             quad_sum_below_h1(0.3, 1.0, 0.2, 10.0, 2), rel=1e-8
@@ -220,7 +235,7 @@ class TestSecondHopSum:
             s2d = float(rng.uniform(0.1, 3.0))
             s2pd = float(rng.uniform(0.05, 2.0))
             gp = float(rng.uniform(0.01, 100.0))
-            assert p_sum_below_h1(delta, s2d, s2pd, gp, 1) == pytest.approx(
+            assert sum_tail_h1(delta, s2d, s2pd, gp, 1) == pytest.approx(
                 p_below_h1(delta, s2d, s2pd, gp), rel=1e-12
             )
 
@@ -232,7 +247,7 @@ class TestSecondHopSum:
             s2d = float(rng.uniform(0.2, 3.0))
             s2pd = float(rng.uniform(0.05, 2.0))
             gp = float(rng.uniform(0.1, 50.0))
-            got = p_sum_below_h1(delta, s2d, s2pd, gp, k)
+            got = sum_tail_h1(delta, s2d, s2pd, gp, k)
             assert got == pytest.approx(
                 quad_sum_below_h1(delta, s2d, s2pd, gp, k), rel=1e-8
             )
@@ -251,7 +266,7 @@ class TestSecondHopSum:
         # the case must reach the branch that avoids the overflowing power
         with pytest.raises(OverflowError):
             (1.0 + s2d / (s2pd * gp * delta)) ** k
-        got = p_sum_below_h1(delta, s2d, s2pd, gp, k)
+        got = sum_tail_h1(delta, s2d, s2pd, gp, k)
         assert abs(got - float(mp_sum_below_h1(delta, s2d, s2pd, gp, k))) <= 1e-14
 
     @pytest.mark.parametrize("k", (1, 2, 6, 24))
@@ -260,12 +275,12 @@ class TestSecondHopSum:
         # 3e-309, so a/(a + c) = 0.75 is moderate; the tail returned its
         # limit 1.0 here, above the best-relay tail
         assert math.isinf(1e300 * 1e9)
-        got = p_sum_below_h1(0.3, 1e308, 1e300, 1e9, k)
+        got = sum_tail_h1(0.3, 1e308, 1e300, 1e9, k)
         assert_rel_close(got, float(mp_sum_below_h1(0.3, 1e308, 1e300, 1e9, k)), rel=1e-13)
 
     def test_h1_weak_interference_collapses_to_h0(self):
         for k in (1, 3, 6):
-            weak = p_sum_below_h1(0.4, 1.0, 0.2, 1e-9, k)
+            weak = sum_tail_h1(0.4, 1.0, 0.2, 1e-9, k)
             assert weak == pytest.approx(p_sum_below_h0(0.4, 1.0, k), rel=1e-7)
 
     @pytest.mark.parametrize("k", (1, 6, 24))
@@ -273,13 +288,13 @@ class TestSecondHopSum:
         # a = delta/sigma2_d overflows: P(k, inf) = 1 and the interference
         # term vanishes
         assert p_sum_below_h0(30.0, 1e-308, k) == 1.0
-        assert p_sum_below_h1(30.0, 1e-308, 0.2, 10.0, k) == 1.0
+        assert sum_tail_h1(30.0, 1e-308, 0.2, 10.0, k) == 1.0
         # sigma2_pd*gamma_p underflows to 0 (c = inf): no interference left
         assert 1e-320 * 1e-10 == 0.0
-        assert p_sum_below_h1(0.3, 1.0, 1e-320, 1e-10, k) == p_sum_below_h0(0.3, 1.0, k)
+        assert sum_tail_h1(0.3, 1.0, 1e-320, 1e-10, k) == p_sum_below_h0(0.3, 1.0, k)
         # it overflows (c = 0): the threshold is unbounded
-        assert p_sum_below_h1(0.3, 1.0, 1e300, 1e300, k) == 1.0
-        assert p_sum_below_h1(0.0, 1.0, 1e300, 1e300, k) == 0.0
+        assert sum_tail_h1(0.3, 1.0, 1e300, 1e300, k) == 1.0
+        assert sum_tail_h1(0.0, 1.0, 1e300, 1e300, k) == 0.0
 
 
 class TestSecondHopMax:
@@ -287,8 +302,8 @@ class TestSecondHopMax:
         assert p_max_below_h0(0.3, 1.0, 1) == pytest.approx(
             p_sum_below_h0(0.3, 1.0, 1), rel=1e-14
         )
-        assert p_max_below_h1(0.3, 1.0, 0.2, 10.0, 1) == pytest.approx(
-            p_sum_below_h1(0.3, 1.0, 0.2, 10.0, 1), rel=1e-12
+        assert max_tail_h1(0.3, 1.0, 0.2, 10.0, 1) == pytest.approx(
+            sum_tail_h1(0.3, 1.0, 0.2, 10.0, 1), rel=1e-12
         )
 
     def test_h0_two_relays(self):
@@ -304,14 +319,14 @@ class TestSecondHopMax:
         g = rng.exponential(s2d, (n, k)).max(axis=1)
         y = rng.exponential(s2pd, n)
         emp = float(np.mean(g < gp * delta * y + delta))
-        got = p_max_below_h1(delta, s2d, s2pd, gp, k)
+        got = max_tail_h1(delta, s2d, s2pd, gp, k)
         assert got == pytest.approx(emp, abs=mc_tolerance(got, n))
 
     def test_h1_high_snr_regression(self):
         # k=6 at 40 dB (delta = 3e-4): the alternating series this tail was
         # once summed as cancels to exactly 0.0 in doubles here
         assert alternating_max_below_h1(3e-4, 1.0, 0.2, 10.0, 6) == 0.0
-        got = p_max_below_h1(3e-4, 1.0, 0.2, 10.0, 6)
+        got = max_tail_h1(3e-4, 1.0, 0.2, 10.0, 6)
         assert got > 0.0
         assert_rel_close(got, float(mp_max_below_h1(3e-4, 1.0, 0.2, 10.0, 6)), rel=1e-13)
 
@@ -319,11 +334,11 @@ class TestSecondHopMax:
     def test_h1_limits_where_the_ratio_leaves_the_float_range(self, k):
         # r overflows (a 1e-308 relay variance): every E[v^n] is 1 and the
         # tail is its limit 1, not inf/inf
-        assert p_max_below_h1(30.0, 1e-308, 0.2, 10.0, k) == 1.0
+        assert max_tail_h1(30.0, 1e-308, 0.2, 10.0, k) == 1.0
         # r = 1e307 is finite, and k*r overflows at k = 24; each E[v^n] is
         # 1 to double precision
-        assert p_max_below_h1(1.0, 1.0, 1e300, 1e7, k) == pytest.approx(1.0, abs=1e-15)
-        assert p_max_below_h1(0.0, 1.0, 1e300, 1e300, k) == 0.0
+        assert max_tail_h1(1.0, 1.0, 1e300, 1e7, k) == pytest.approx(1.0, abs=1e-15)
+        assert max_tail_h1(0.0, 1.0, 1e300, 1e300, k) == 0.0
 
     def test_max_never_exceeds_sum_probability(self):
         # max < x is implied by sum < x, so its probability dominates
@@ -333,8 +348,8 @@ class TestSecondHopMax:
             delta = float(rng.uniform(0.01, 4.0))
             gp = float(rng.uniform(0.1, 30.0))
             assert (
-                p_max_below_h1(delta, 1.0, 0.2, gp, k)
-                >= p_sum_below_h1(delta, 1.0, 0.2, gp, k) - 1e-12
+                max_tail_h1(delta, 1.0, 0.2, gp, k)
+                >= sum_tail_h1(delta, 1.0, 0.2, gp, k) - 1e-12
             )
 
 
@@ -367,10 +382,10 @@ class TestTailsOverWholeRange:
             assert_exact_within_tail_tolerance(got, exact_tail(delta, sigma2_d, 0.2, gamma_p, k))
 
     def test_max_tail(self, k, sigma2_d, gamma_p):
-        self.check(p_max_below_h1, mp_max_below_h1, k, sigma2_d, gamma_p)
+        self.check(max_tail_h1, mp_max_below_h1, k, sigma2_d, gamma_p)
 
     def test_sum_tail(self, k, sigma2_d, gamma_p):
-        self.check(p_sum_below_h1, mp_sum_below_h1, k, sigma2_d, gamma_p)
+        self.check(sum_tail_h1, mp_sum_below_h1, k, sigma2_d, gamma_p)
 
 
 @pytest.mark.parametrize("sigma2", (0.3, 1.0, 3.0))
@@ -622,6 +637,58 @@ class TestWholeAcceptedRange:
             for args, kwargs in spy.call_args_list:
                 assert not kwargs and len(args) == len(holds), (name, args, kwargs)
                 assert all(h(arg) for h, arg in zip(holds, args)), (name, args)
+
+
+# thresholds from 0 through the subnormals to 1e308, and an interference
+# scale gamma_p from 1e-320 to 1e308, as the accepted range gives them
+threshold = st.one_of(st.just(0.0), scale(-325.0, 308.0))
+interference_scale = scale(-320.0, 308.0)
+
+
+@st.composite
+def pooled_relay_configs(draw):
+    """An accepted config whose relays are drawn from a pool of 1 to 5
+    (sigma2_si, sigma2_pi) pairs, so alike relays repeat, interleaved."""
+    config = draw(accepted_configs())
+    pool = draw(st.lists(st.tuples(variance, variance), min_size=1, max_size=5))
+    relays = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    config["relay_counts"] = [len(relays)]
+    config["sigma2_si"], config["sigma2_pi"] = map(list, zip(*relays))
+    return config
+
+
+class TestBitIdenticalToTheStandaloneForms:
+    """The H1 tails start from the H0 tail the relay schemes computed at
+    the same k, and the first hop counts each group in one pass; both keep
+    every bit of the forms in tests/oracle.py that did neither."""
+
+    @given(k=st.integers(1, 24), delta=threshold, sigma2_d=variance, sigma2_pd=variance,
+           gamma_p=interference_scale)
+    # the interference ratio overflows, sigma2_pd*gamma_p alone overflows,
+    # k*r overflows with r finite, a = delta/sigma2_d overflows, and delta is 0
+    @example(k=6, delta=30.0, sigma2_d=1e-300, sigma2_pd=0.2, gamma_p=1e10)
+    @example(k=2, delta=0.3, sigma2_d=1e308, sigma2_pd=1e300, gamma_p=1e9)
+    @example(k=24, delta=1.0, sigma2_d=1.0, sigma2_pd=1e300, gamma_p=1e7)
+    @example(k=24, delta=30.0, sigma2_d=1e-308, sigma2_pd=0.2, gamma_p=10.0)
+    @example(k=3, delta=0.0, sigma2_d=1.0, sigma2_pd=1e300, gamma_p=1e300)
+    @example(k=12, delta=5e-324, sigma2_d=1e-320, sigma2_pd=1e-320, gamma_p=1e-10)
+    @settings(deadline=None)
+    def test_h1_tails(self, k, delta, sigma2_d, sigma2_pd, gamma_p):
+        args = (delta, sigma2_d, sigma2_pd, gamma_p, k)
+        assert repr(sum_tail_h1(*args)) == repr(standalone_sum_below_h1(*args))
+        assert repr(max_tail_h1(*args)) == repr(standalone_max_below_h1(*args))
+
+    @given(config=st.one_of(accepted_configs(), pooled_relay_configs()))
+    @example(config={"relay_counts": [3], "sigma2_si": [1e-300, 1.0, 1e308],
+                     "sigma2_pi": [0.2, 0.2, 0.2], "gamma_s_db": [0.0]})
+    @example(config={"relay_counts": [7], "sigma2_si": [0.7, 1.9, 0.7, 1.2, 0.7, 1.2, 0.55],
+                     "sigma2_pi": [0.15, 0.35, 0.15, 0.2, 0.15, 0.2, 0.4], "gamma_s_db": [10.0]})
+    @example(config={"relay_counts": [24], "gamma_s_db": [20.0]})
+    @settings(deadline=None)
+    def test_first_hop(self, config):
+        params = build_spec(config).base
+        assert repr(_first_hop(params, params.delta)) == repr(
+            group_count_first_hop(params, params.delta))
 
 
 # gamma_s from 50 dB to the top of the range the CLI accepts (gamma_s below

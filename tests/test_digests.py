@@ -2,10 +2,11 @@
 
 The grids are shaped like the benchmark workloads (a Monte Carlo validate
 grid, a short Monte Carlo sweep over two sensing pairs, an analytic grid
-that reaches the high-SNR range, a per-relay analytic grid) plus an
-analytic grid whose relays form groups of 3, 1, 2 and 1 alike relays, the
-configs at the edge of the accepted range that the CLI tests run, and
-per-relay variances at the float limits of the first hop.  Each
+that reaches the high-SNR range, per-relay analytic grids at N = 8 and at
+the per-relay workload's N = 16) plus an analytic grid whose relays form
+groups of 3, 1, 2 and 1 alike relays, the configs at the edge of the
+accepted range that the CLI tests run, and per-relay variances at the float
+limits of the first hop.  Each
 digest was taken before a refactor that claimed bit-identical output, so a
 change that moves one printed digit fails here, not only in a benchmark
 run.  A change that means to move the numbers updates the digests and says
@@ -57,6 +58,18 @@ GRIDS = {
         "sigma2_pi": [0.15, 0.35, 0.2, 0.4, 0.1, 0.3, 0.25, 0.12],
         "trials": 0,
     },
+    # the shape of the per-relay benchmark workload: 16 distinct relays
+    "analytic-hetero16-like": {
+        "schemes": ["best", "multi"],
+        "sensing_pairs": [[0.9, 0.1]],
+        "relay_counts": [16],
+        "gamma_s_db": [0.0, 10.0, 20.0, 30.0],
+        "sigma2_si": [1.042, 1.221, 1.125, 1.17, 1.114, 1.487, 0.888, 1.452,
+                      0.515, 0.953, 1.003, 0.713, 1.615, 0.965, 1.684, 1.934],
+        "sigma2_pi": [0.176, 0.368, 0.342, 0.3, 0.108, 0.237, 0.288, 0.189,
+                      0.167, 0.193, 0.177, 0.336, 0.204, 0.227, 0.293, 0.385],
+        "trials": 0,
+    },
     # groups of 3, 1, 2 and 1 alike relays, interleaved: the decoding-set
     # pmf convolves binomials of one, two and three relays
     "analytic-mixed-like": {
@@ -97,6 +110,7 @@ DIGESTS = {
     "sweep-like": "95189f076328a7b9313f7ff9d271264bb6c8016c6928b48025abad7bbb4d24a5",
     "analytic-grid-like": "1d244d26c1104db6c695820152467264892ce619113f96803e7c769e502434a1",
     "analytic-hetero-like": "3ad4128688447f08431c8c733b3bb01fdf9f43f873cfe3d3df520a812fe79287",
+    "analytic-hetero16-like": "a62218fa410735c717e211c7562e021542f9e773e28cacfb9a4af7f50ead0d39",
     "analytic-mixed-like": "164a6fef63d59bd00461c5c2c415828ef7d6752d88668ae64c2a1b32e454fb22",
     "edge-sigma2_si-1e-300": "d63cae7b5e2e172a614134d3d10ef7d6e4de555d1182f25497ed0a548ed8d5df",
     "edge-gamma_p-3080-dB": "cd972bae2641e51a9ca9284f8f191d752a1a774ad9a550cfe4512e012f72a1e7",
@@ -125,6 +139,7 @@ ANALYTIC_GRIDS = [name for name, config in GRIDS.items() if not config.get("tria
 BREAKDOWN_DIGESTS = {
     "analytic-grid-like": "ac0414ad1ccd6da888ce2dc9a571509dbfb1c8c340f4139cff837c5987b74e0f",
     "analytic-hetero-like": "ab460537b25d8759d532ff9446ec9f4438a460940c0a6d1c36c521c5e21ed5fe",
+    "analytic-hetero16-like": "e53c1ee90d4aec5c6624f64735e05ac3b6479e34852efa4f6b4d79098049deb3",
     "analytic-mixed-like": "6151773741cb2c9409079b8850b6b2b0c8159156171bea61057a0bdc8284d4ee",
     "edge-sigma2_si-1e-300": "bc9e08c67ce643917552fc2dafcfaccfe28787641ff47e3d7fd20a5790a34389",
     "edge-gamma_p-3080-dB": "c6472f1ef6fceb937e88368750221c7ffd334b87c5c9fb3b0443c05a2d205034",
