@@ -9,9 +9,12 @@ branches weighted by the sensing posterior.
 All fading gains are exponential (Rayleigh magnitudes squared), which makes
 every piece elementary: first-hop failures are exponential CDFs, the combined
 relay->destination sum is an Erlang tail, and the interference-perturbed
-versions integrate out the primary gain in closed form.  Every sum here,
-over decoding-set sizes and inside each second-hop tail, adds nonnegative
-terms only, so nothing cancels at high transmit SNR or at low.
+versions integrate out the primary gain in closed form.  Each H1 second-hop
+tail is the H0 tail at the same decoding-set size plus a nonnegative
+interference term, so the relay schemes compute the H0 tail once per size
+and start the H1 tail from it.  Every sum here, over decoding-set sizes and
+inside each second-hop tail, adds nonnegative terms only, so nothing cancels
+at high transmit SNR or at low.
 
 Nothing here checks its arguments: they are what a checked ``SystemParams``
 produces.  Thresholds delta are finite and >= 0, variances and gamma_p are
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import SystemParams
@@ -107,15 +111,17 @@ def p_sum_below_h0(delta: float, sigma2_d: float, k: int) -> float:
 
 
 def p_sum_below_h1(
-    delta: float, sigma2_d: float, sigma2_pd: float, gamma_p: float, k: int
+    delta: float, sigma2_d: float, sigma2_pd: float, gamma_p: float, k: int, below_h0: float
 ) -> float:
-    """Pr(sum of k relay gains < gamma_p*delta*interference gain + delta).
+    """Pr(sum of k relay gains < gamma_p*delta*interference gain + delta),
+    given below_h0 = ``p_sum_below_h0(delta, sigma2_d, k)``.
 
     Averaging the Erlang CDF over the exponential interference gain yields
 
         P(k, a) + e^{c} Q(k, a + c) (a / (a + c))^k
 
-    with a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p).  The second term is
+    with a = delta/sigma2_d and c = 1/(sigma2_pd*gamma_p): the H0 tail
+    P(k, a) plus an interference term.  That term is
     ``scaled_upper_gamma_term`` of r = a/(a + c), a sum of nonnegative terms
     that stays finite where e^{c} or ((a + c)/a)^k alone would overflow; at
     delta = 0 both terms are 0.  r is formed as rho/(1 + rho) from the
@@ -127,7 +133,7 @@ def p_sum_below_h1(
     a = delta / sigma2_d
     rho = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
     r = 1.0 if math.isinf(rho) else rho / (1.0 + rho)
-    return min(reg_lower_gamma(k, a) + scaled_upper_gamma_term(k, a, r), 1.0)
+    return min(below_h0 + scaled_upper_gamma_term(k, a, r), 1.0)
 
 
 def p_max_below_h0(delta: float, sigma2_d: float, k: int) -> float:
@@ -136,9 +142,10 @@ def p_max_below_h0(delta: float, sigma2_d: float, k: int) -> float:
 
 
 def p_max_below_h1(
-    delta: float, sigma2_d: float, sigma2_pd: float, gamma_p: float, k: int
+    delta: float, sigma2_d: float, sigma2_pd: float, gamma_p: float, k: int, below_h0: float
 ) -> float:
-    """Pr(max of k relay gains < gamma_p*delta*interference gain + delta).
+    """Pr(max of k relay gains < gamma_p*delta*interference gain + delta),
+    given below_h0 = ``p_max_below_h0(delta, sigma2_d, k)``.
 
     Given the interference gain y, the max-CDF is (1 - c*u)^k with
     c = e^{-delta/sigma2_d} and u = e^{-gamma_p*delta*y/sigma2_d}.  Over the
@@ -149,17 +156,18 @@ def p_max_below_h1(
 
         sum_{n=0}^{k} C(k,n) q^{k-n} c^n E[v^n]
 
-    whose terms are all nonnegative: nothing cancels at high SNR, and at
-    delta = 0 every term is 0.  Where k*r overflows, every E[v^n] is 1 to
-    double precision and the sum is its limit (q + c)^k = 1.
+    whose n = 0 term q^k is the H0 tail and whose other terms are the
+    interference's.  All are nonnegative: nothing cancels at high SNR, and
+    at delta = 0 every term is 0.  Where k*r overflows, every E[v^n] is 1
+    to double precision and the sum is its limit (q + c)^k = 1.
     """
     r = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
     if math.isinf(k * r):
         return 1.0
     q = -math.expm1(-delta / sigma2_d)
     c = math.exp(-delta / sigma2_d)
-    terms, moment = [], 1.0  # moment = E[v^n]
-    for n in range(k + 1):
+    terms, moment = [below_h0], r / (1.0 + r)  # moment = E[v^n]
+    for n in range(1, k + 1):
         terms.append(math.comb(k, n) * q ** (k - n) * c ** n * moment)
         moment *= (n + 1) * r / (1.0 + (n + 1) * r)
     return math.fsum(terms)
@@ -195,17 +203,16 @@ def _cardinality_pmf(groups: list[tuple[float, float, int]]) -> list[float]:
 
 def _first_hop(params: SystemParams, delta: float) -> tuple[list, list]:
     """First-hop (failure, success, relay count) under H0 and under H1 of
-    each group of relays with equal (sigma2_si, sigma2_pi).
+    each group of relays with equal (sigma2_si, sigma2_pi), in the order the
+    groups first occur.  One ``Counter`` pass over the relays counts them all.
 
     Success is formed directly, e^{-delta/sigma2_si} under H0 and that over
     1 + r under H1 (r as in ``p_below_h1``), not as 1 - failure: at low SNR
     the failure rounds towards 1 and the difference keeps no digits.
     """
     v = params.variances
-    relays = list(zip(v.sigma2_si, v.sigma2_pi))
     h0, h1 = [], []
-    for s2s, s2p in dict.fromkeys(relays):
-        m = relays.count((s2s, s2p))
+    for (s2s, s2p), m in Counter(zip(v.sigma2_si, v.sigma2_pi)).items():
         success = math.exp(-delta / s2s)
         r = _interference_ratio(s2p, params.gamma_p, delta, s2s)
         h0.append((p_below_h0(delta, s2s), success, m))
@@ -215,17 +222,21 @@ def _first_hop(params: SystemParams, delta: float) -> tuple[list, list]:
 
 def _relay_scheme_outage(params: SystemParams, tail_h0, tail_h1) -> OutageBreakdown:
     """Sum over k of Pr(|D| = k) * Pr(second hop fails | k) under H0 and H1, weighted by the
-    posterior.  A scheme gives its second-hop tails, called once per k as
-    tail_h0(delta, sigma2_d, k) and tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k)."""
+    posterior.  A scheme gives its second-hop tails, each called once per k:
+    first tail_h0(delta, sigma2_d, k) at every k, then
+    tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0), where below_h0
+    is tail_h0's value at that k.  The H1 tail is the H0 tail plus an
+    interference term, so it starts from the value already computed."""
     v, delta = params.variances, params.delta
     pmf0, pmf1 = map(_cardinality_pmf, _first_hop(params, delta))
-    sizes = range(1, params.n_relays + 1)
+    below_h0 = [tail_h0(delta, v.sigma2_d, k) for k in range(1, params.n_relays + 1)]
     return OutageBreakdown(
         empty_h0=params.pi0 * pmf0[0],
         empty_h1=params.pi1 * pmf1[0],
-        nonempty_h0=params.pi0 * math.fsum(pmf0[k] * tail_h0(delta, v.sigma2_d, k) for k in sizes),
+        nonempty_h0=params.pi0 * math.fsum(pmf0[k] * below for k, below in enumerate(below_h0, 1)),
         nonempty_h1=params.pi1 * math.fsum(
-            pmf1[k] * tail_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k) for k in sizes),
+            pmf1[k] * tail_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k, below)
+            for k, below in enumerate(below_h0, 1)),
     )
 
 

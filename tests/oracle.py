@@ -114,10 +114,12 @@ def enumerated_outage(params, scheme):
     delta = params.delta
     if scheme is Scheme.MULTI_RELAY:
         tail_h0 = lambda k: p_sum_below_h0(delta, v.sigma2_d, k)  # noqa: E731
-        tail_h1 = lambda k: p_sum_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k)  # noqa: E731
+        tail_h1 = lambda k: p_sum_below_h1(  # noqa: E731
+            delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k, tail_h0(k))
     elif scheme is Scheme.BEST_RELAY:
         tail_h0 = lambda k: p_max_below_h0(delta, v.sigma2_d, k)  # noqa: E731
-        tail_h1 = lambda k: p_max_below_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k)  # noqa: E731
+        tail_h1 = lambda k: p_max_below_h1(  # noqa: E731
+            delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k, tail_h0(k))
     else:
         raise ValueError(f"no decoding sets in scheme {scheme}")
 

@@ -76,13 +76,15 @@ def assert_rel_close(got, ref, rel=1e-12):
 def sum_tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
     """``p_sum_below_h1`` at k, given the H0 tail at the same k as the
     multi-relay scheme gives it."""
-    return p_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k)
+    below_h0 = p_sum_below_h0(delta, sigma2_d, k)
+    return p_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0)
 
 
 def max_tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
     """``p_max_below_h1`` at k, given the H0 tail at the same k as the
     best-relay scheme gives it."""
-    return p_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k)
+    below_h0 = p_max_below_h0(delta, sigma2_d, k)
+    return p_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0)
 
 
 def assert_matches_oracle(params, scheme):
@@ -569,16 +571,21 @@ def is_ratio(r):
     return 0.0 <= r <= 1.0
 
 
+def is_probability(p):
+    return 0.0 <= p <= 1.0
+
+
 # what the closed forms and special functions assume of their arguments,
 # positionally: thresholds delta finite and >= 0, variances and gamma_p
-# finite and > 0, shapes ints >= 1, Erlang arguments >= 0, ratios in [0, 1]
+# finite and > 0, shapes ints >= 1, Erlang arguments >= 0, ratios in [0, 1],
+# and the H0 tail each H1 tail starts from a probability
 PRECONDITIONS = {
     "p_below_h0": (is_threshold, is_scale),
     "p_below_h1": (is_threshold, is_scale, is_scale, is_scale),
     "p_sum_below_h0": (is_threshold, is_scale, is_shape),
     "p_max_below_h0": (is_threshold, is_scale, is_shape),
-    "p_sum_below_h1": (is_threshold, is_scale, is_scale, is_scale, is_shape),
-    "p_max_below_h1": (is_threshold, is_scale, is_scale, is_scale, is_shape),
+    "p_sum_below_h1": (is_threshold, is_scale, is_scale, is_scale, is_shape, is_probability),
+    "p_max_below_h1": (is_threshold, is_scale, is_scale, is_scale, is_shape, is_probability),
     "reg_lower_gamma": (is_shape, is_argument),
     "scaled_upper_gamma_term": (is_shape, is_argument, is_ratio),
 }
@@ -882,13 +889,14 @@ class TestBestRelayOutage:
 
 def test_relay_schemes_call_each_tail_once_per_size_through_the_module_globals(monkeypatch, make_params):
     # bench/layers.py counts analytic.tail_calls by wrapping these names on the module
-    tails = ("p_sum_below_h0", "p_sum_below_h1", "p_max_below_h0", "p_max_below_h1")
+    # position of k: (delta, sigma2_d, k) and (delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0)
+    tails = {"p_sum_below_h0": 2, "p_sum_below_h1": 4, "p_max_below_h0": 2, "p_max_below_h1": 4}
     params = make_params(10.0, n_relays=6)
     expected = (outage_multi_relay(params), outage_best_relay(params))
     sizes = {name: [] for name in tails}
-    for name in tails:
-        def counted(*args, _tail=getattr(analytic, name), _sizes=sizes[name]):
-            _sizes.append(args[-1])
+    for name, at in tails.items():
+        def counted(*args, _tail=getattr(analytic, name), _sizes=sizes[name], _at=at):
+            _sizes.append(args[_at])
             return _tail(*args)
         monkeypatch.setattr(analytic, name, counted)
     assert (analytic.outage_multi_relay(params), analytic.outage_best_relay(params)) == expected
