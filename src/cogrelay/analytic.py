@@ -11,14 +11,16 @@ every piece elementary: first-hop failures are exponential CDFs, the combined
 relay->destination sum is an Erlang tail, and the interference-perturbed
 versions integrate out the primary gain in closed form.  Each H1 second-hop
 tail is the H0 tail at the same decoding-set size plus a nonnegative
-interference term, so the relay schemes compute the H0 tail once per size
-and start the H1 tail from it.  Every sum here, over decoding-set sizes and
-inside each second-hop tail, adds nonnegative terms only, so nothing cancels
-at high transmit SNR or at low.
+interference term.  Each tail is one call per point that returns its values
+at every decoding-set size k = 1..N and forms what does not depend on k
+once; the H1 tail starts from the H0 tail's values.  Every sum here, over
+decoding-set sizes and inside each second-hop tail, adds nonnegative terms
+only, so nothing cancels at high transmit SNR or at low.
 
 Nothing here checks its arguments: they are what a checked ``SystemParams``
 produces.  Thresholds delta are finite and >= 0, variances and gamma_p are
-finite and > 0, and each decoding-set size k is an int from 1 to N.
+finite and > 0, each relay count n is an int from 1 to N, and each H0 tail
+list an H1 tail starts from holds probabilities.
 """
 
 from __future__ import annotations
@@ -105,16 +107,18 @@ def p_below_h1(delta: float, sigma2_s: float, sigma2_p: float, gamma_p: float) -
     return (r - math.expm1(-delta / sigma2_s)) / (1.0 + r)
 
 
-def p_sum_below_h0(delta: float, sigma2_d: float, k: int) -> float:
-    """Pr(sum of k relay->destination gains < delta): Erlang CDF at delta/sigma2_d."""
-    return reg_lower_gamma(k, delta / sigma2_d)
+def p_sum_below_h0(delta: float, sigma2_d: float, n: int) -> list[float]:
+    """Pr(sum of k relay->destination gains < delta) at k = 1..n: the Erlang
+    CDF P(k, delta/sigma2_d), one ``reg_lower_gamma`` call per k."""
+    a = delta / sigma2_d
+    return [reg_lower_gamma(k, a) for k in range(1, n + 1)]
 
 
 def p_sum_below_h1(
-    delta: float, sigma2_d: float, sigma2_pd: float, gamma_p: float, k: int, below_h0: float
-) -> float:
-    """Pr(sum of k relay gains < gamma_p*delta*interference gain + delta),
-    given below_h0 = ``p_sum_below_h0(delta, sigma2_d, k)``.
+    delta: float, sigma2_d: float, sigma2_pd: float, gamma_p: float, below_h0: list[float]
+) -> list[float]:
+    """Pr(sum of k relay gains < gamma_p*delta*interference gain + delta) at
+    k = 1..n, given below_h0 = ``p_sum_below_h0(delta, sigma2_d, n)``.
 
     Averaging the Erlang CDF over the exponential interference gain yields
 
@@ -124,53 +128,65 @@ def p_sum_below_h1(
     P(k, a) plus an interference term.  That term is
     ``scaled_upper_gamma_term`` of r = a/(a + c), a sum of nonnegative terms
     that stays finite where e^{c} or ((a + c)/a)^k alone would overflow; at
-    delta = 0 both terms are 0.  r is formed as rho/(1 + rho) from the
-    interference ratio rho = a/c (as in ``p_below_h1``), so it keeps its
-    digits where sigma2_pd*gamma_p leaves the float range but rho does not.
-    Where rho overflows, r takes its limit 1, the second term is the whole
-    upper tail 1 - P(k, a) and the sum is 1.
+    delta = 0 both terms are 0.  One call gives it at every k.  r is formed
+    as rho/(1 + rho) from the interference ratio rho = a/c (as in
+    ``p_below_h1``), so it keeps its digits where sigma2_pd*gamma_p leaves
+    the float range but rho does not.  Where rho overflows, r takes its
+    limit 1, the second term is the whole upper tail 1 - P(k, a) and the
+    sum is 1.
     """
     a = delta / sigma2_d
     rho = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
     r = 1.0 if math.isinf(rho) else rho / (1.0 + rho)
-    return min(below_h0 + scaled_upper_gamma_term(k, a, r), 1.0)
+    excess = scaled_upper_gamma_term(len(below_h0), a, r)
+    return [min(below + term, 1.0) for below, term in zip(below_h0, excess)]
 
 
-def p_max_below_h0(delta: float, sigma2_d: float, k: int) -> float:
-    """Pr(max of k relay->destination gains < delta) = (1 - e^{-delta/sigma2_d})^k."""
-    return (-math.expm1(-delta / sigma2_d)) ** k
+def p_max_below_h0(delta: float, sigma2_d: float, n: int) -> list[float]:
+    """Pr(max of k relay->destination gains < delta) = (1 - e^{-delta/sigma2_d})^k
+    at k = 1..n."""
+    q = -math.expm1(-delta / sigma2_d)
+    return [q ** k for k in range(1, n + 1)]
 
 
 def p_max_below_h1(
-    delta: float, sigma2_d: float, sigma2_pd: float, gamma_p: float, k: int, below_h0: float
-) -> float:
-    """Pr(max of k relay gains < gamma_p*delta*interference gain + delta),
-    given below_h0 = ``p_max_below_h0(delta, sigma2_d, k)``.
+    delta: float, sigma2_d: float, sigma2_pd: float, gamma_p: float, below_h0: list[float]
+) -> list[float]:
+    """Pr(max of k relay gains < gamma_p*delta*interference gain + delta) at
+    k = 1..n, given below_h0 = ``p_max_below_h0(delta, sigma2_d, n)``.
 
     Given the interference gain y, the max-CDF is (1 - c*u)^k with
     c = e^{-delta/sigma2_d} and u = e^{-gamma_p*delta*y/sigma2_d}.  Over the
     exponential y, u is Beta(theta, 1) with theta = 1/r and
     r = sigma2_pd*gamma_p*delta/sigma2_d, so v = 1 - u has the moments
-    E[v^n] = prod_{j<=n} j*r/(1 + j*r).  Writing 1 - c*u = q + c*v with
+    E[v^j] = prod_{i<=j} i*r/(1 + i*r).  Writing 1 - c*u = q + c*v with
     q = 1 - c and expanding the power binomially gives
 
-        sum_{n=0}^{k} C(k,n) q^{k-n} c^n E[v^n]
+        sum_{j=0}^{k} C(k,j) q^{k-j} c^j E[v^j]
 
-    whose n = 0 term q^k is the H0 tail and whose other terms are the
+    whose j = 0 term q^k is the H0 tail and whose other terms are the
     interference's.  All are nonnegative: nothing cancels at high SNR, and
-    at delta = 0 every term is 0.  Where k*r overflows, every E[v^n] is 1
-    to double precision and the sum is its limit (q + c)^k = 1.
+    at delta = 0 every term is 0.  r, q, c and the moments do not depend on
+    k, so they are formed once for all k.  Where k*r overflows, every E[v^j]
+    is 1 to double precision and the sum is its limit (q + c)^k = 1.
     """
+    n = len(below_h0)
     r = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
-    if math.isinf(k * r):
-        return 1.0
     q = -math.expm1(-delta / sigma2_d)
     c = math.exp(-delta / sigma2_d)
-    terms, moment = [below_h0], r / (1.0 + r)  # moment = E[v^n]
-    for n in range(1, k + 1):
-        terms.append(math.comb(k, n) * q ** (k - n) * c ** n * moment)
-        moment *= (n + 1) * r / (1.0 + (n + 1) * r)
-    return math.fsum(terms)
+    moments = [r / (1.0 + r)]  # moments[j - 1] = E[v^j]
+    for j in range(2, n + 1):
+        moments.append(moments[-1] * (j * r / (1.0 + j * r)))
+    tails = []
+    for k, below in enumerate(below_h0, 1):
+        if math.isinf(k * r):
+            tails.append(1.0)
+            continue
+        terms = [below]
+        for j in range(1, k + 1):
+            terms.append(math.comb(k, j) * q ** (k - j) * c ** j * moments[j - 1])
+        tails.append(math.fsum(terms))
+    return tails
 
 
 def _cardinality_pmf(groups: list[tuple[float, float, int]]) -> list[float]:
@@ -222,21 +238,20 @@ def _first_hop(params: SystemParams, delta: float) -> tuple[list, list]:
 
 def _relay_scheme_outage(params: SystemParams, tail_h0, tail_h1) -> OutageBreakdown:
     """Sum over k of Pr(|D| = k) * Pr(second hop fails | k) under H0 and H1, weighted by the
-    posterior.  A scheme gives its second-hop tails, each called once per k:
-    first tail_h0(delta, sigma2_d, k) at every k, then
-    tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0), where below_h0
-    is tail_h0's value at that k.  The H1 tail is the H0 tail plus an
-    interference term, so it starts from the value already computed."""
+    posterior.  A scheme gives its second-hop tails, each called once per point and
+    returning its values at k = 1..N: first tail_h0(delta, sigma2_d, N), then
+    tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, below_h0), where below_h0 is
+    tail_h0's list.  The H1 tail is the H0 tail plus an interference term, so it
+    starts from the values already computed."""
     v, delta = params.variances, params.delta
     pmf0, pmf1 = map(_cardinality_pmf, _first_hop(params, delta))
-    below_h0 = [tail_h0(delta, v.sigma2_d, k) for k in range(1, params.n_relays + 1)]
+    below_h0 = tail_h0(delta, v.sigma2_d, params.n_relays)
+    below_h1 = tail_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, below_h0)
     return OutageBreakdown(
         empty_h0=params.pi0 * pmf0[0],
         empty_h1=params.pi1 * pmf1[0],
         nonempty_h0=params.pi0 * math.fsum(pmf0[k] * below for k, below in enumerate(below_h0, 1)),
-        nonempty_h1=params.pi1 * math.fsum(
-            pmf1[k] * tail_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k, below)
-            for k, below in enumerate(below_h0, 1)),
+        nonempty_h1=params.pi1 * math.fsum(pmf1[k] * tail for k, tail in enumerate(below_h1, 1)),
     )
 
 

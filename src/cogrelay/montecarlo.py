@@ -93,6 +93,10 @@ BLOCK_ROWS = 2048
 
 _SEED_MASK = (1 << 64) - 1
 
+# Above every unit-mean gain -log1p(-u): each double u below 1 is at most
+# 1 - 2^-53, so -log1p(-u) <= 53*ln 2 = 36.74.
+_UNIT_GAIN_BOUND = 37.0
+
 
 @dataclass(frozen=True)
 class OutageEstimate:
@@ -185,9 +189,14 @@ def _batch_outage_flags(
     columns are copied once into contiguous (N, rows) arrays and
     transformed in place, so the per-point decode, mask product, sum and
     max run on contiguous rows, one relay at a time.  The forwarded gains
-    are the mask product g_id * decoded: a gain -mean*log1p(-u) with u in
-    [0, 1) is finite and never -0.0, so the product is the gain itself or
-    +0.0, the bits np.where(decoded, g_id, 0.0) gives.  The multi-relay sum
+    are the gain where the relay decoded and +0.0 where it did not, the
+    bits np.where(decoded, g_id, 0.0) gives.  A gain -mean*log1p(-u) with u
+    in [0, 1) is never -0.0, and it is finite wherever
+    _UNIT_GAIN_BOUND*mean is.  There the cheaper mask product
+    g_id * decoded has the same bits.  A
+    larger relay->destination mean can overflow a gain to inf, and
+    inf * False is NaN, which no comparison flags as an outage, so there
+    the kernel takes np.where.  The multi-relay sum
     adds the relays one at a time in index order (``_column_sum``), so each
     trial's sum, and with it each flag, has the bits of the left-to-right
     sum g_1 + g_2 + ... + g_N of its forwarded gains; the max is exact in
@@ -218,6 +227,8 @@ def _batch_outage_flags(
     gamma_p = first.gamma_p
     sigma2_si = np.asarray(v.sigma2_si)[:, None]
     sigma2_pi = np.asarray(v.sigma2_pi)[:, None]
+    # every relay->destination gain is finite (see above)
+    finite_g_id = math.isfinite(_UNIT_GAIN_BOUND * v.sigma2_d)
     direct = schemes.index(Scheme.DIRECT) if Scheme.DIRECT in schemes else None
     relay_schemes = [(k, s) for k, s in enumerate(schemes) if s is not Scheme.DIRECT]
     gen = batch_generator(seed, batch_index)
@@ -260,7 +271,7 @@ def _batch_outage_flags(
                 decoded = g_si > delta
                 decoded[:, h1] = g_si_h1 > delta * interference_pi
                 # the gain where the relay decoded, +0.0 where it did not
-                forwarded = g_id * decoded
+                forwarded = g_id * decoded if finite_g_id else np.where(decoded, g_id, 0.0)
                 relay_limit = delta * interference
                 for k, scheme in relay_schemes:
                     if scheme is Scheme.MULTI_RELAY:

@@ -14,8 +14,9 @@ subnormal (past ~745 it is 0.0) and carries few or no significant digits, so
 there each term is formed in one piece as exp(-x + m*log(x) - lgamma(m+1)).
 
 Nothing here checks its arguments: they are what the closed forms form from
-a checked ``SystemParams``.  Each shape k is an int >= 1, each argument x or
-a is >= 0 (inf where delta/sigma2_d overflows), and each ratio r is in [0, 1].
+a checked ``SystemParams``.  Each shape k or count n is an int >= 1, each
+argument x or a is >= 0 (inf where delta/sigma2_d overflows), and each ratio
+r is in [0, 1].
 """
 
 from __future__ import annotations
@@ -77,24 +78,28 @@ def reg_lower_gamma(k: int, x: float) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-def scaled_upper_gamma_term(k: int, a: float, r: float) -> float:
-    """e^{c} * (1 - P(k, a + c)) * (a / (a + c))^k as one sum of nonnegative
-    terms, given r = a / (a + c).
+def scaled_upper_gamma_term(n: int, a: float, r: float) -> list[float]:
+    """T_1..T_n, where T_k = e^{c} * (1 - P(k, a + c)) * (a / (a + c))^k as
+    one sum of nonnegative terms, given r = a / (a + c).
 
     Expanding the upper tail and moving the power inside gives
 
-        e^{-a} * sum_{m=0}^{k-1} a^m / m! * r^(k - m)
+        T_k = e^{-a} * sum_{m=0}^{k-1} a^m / m! * r^(k - m)
 
     a Poisson pmf times a factor of at most 1 in each term, evaluated by
-    Horner's rule in r.  Neither e^{c} nor ((a + c) / a)^k is ever formed, so
-    the value is finite and keeps its relative precision for any c > 0 and
-    a >= 0.  It is 0 at r = 0 (a = 0 or c = inf) and in the limit a -> inf,
-    where e^{-a} takes every term with it; where a rounds to 0 but r does
-    not, it is r^k, the limit as a -> 0 at fixed r.
+    Horner's rule in r: T_k = r * (T_{k-1} + e^{-a} a^{k-1} / (k-1)!), so
+    one pass over the first n Poisson terms passes through every T_k, and
+    each has the bits of a pass that stops at k.  Neither e^{c} nor
+    ((a + c) / a)^k is ever formed, so each value is finite and keeps its
+    relative precision for any c > 0 and a >= 0.  T_k is 0 at r = 0 (a = 0
+    or c = inf) and in the limit a -> inf, where e^{-a} takes every term
+    with it; where a rounds to 0 but r does not, it is r^k, the limit as
+    a -> 0 at fixed r.
     """
     if math.isinf(a):
-        return 0.0
-    tail = 0.0
-    for t in _poisson_cdf_terms(k, a):
+        return [0.0] * n
+    tails, tail = [], 0.0
+    for t in _poisson_cdf_terms(n, a):
         tail = r * (tail + t)
-    return tail
+        tails.append(tail)
+    return tails

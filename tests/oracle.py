@@ -10,12 +10,16 @@ Exponential in N, so the tests stay at N <= MAX_ORACLE_RELAYS.
 ``nested_loop_cardinality_pmf`` is the package's decoding-set pmf as it was
 built before a relay in a group of its own took a two-term pass: one
 binomial per group, convolved by a nested loop.  The package must match it
-bit for bit.  ``standalone_sum_below_h1`` and ``standalone_max_below_h1`` are
-the H1 second-hop tails as they were before they started from the H0 tail
+bit for bit.  The ``per_size_*`` tails and
+``per_size_scaled_upper_gamma_term`` are the second-hop tails as they were
+before each became one call per point: one call per decoding-set size k,
+forming r, q, c, the moments and the Poisson terms again at every k.
+``standalone_sum_below_h1`` and ``standalone_max_below_h1`` are the H1
+tails as they were before that, when they did not start from the H0 tail
 the relay schemes had already computed at the same k: each forms that H0
 part itself.  ``group_count_first_hop`` is the first hop as it was before it
 counted each group's relays in one pass: one ``list.count`` per group.  The
-package must match all three bit for bit.
+package's entry k must match each of them bit for bit.
 
 Exact references: ``mp_sum_below_h1``, ``mp_max_below_h1`` and ``mp_outage``
 evaluate the second-hop tails and the whole outage breakdown in mpmath from
@@ -67,7 +71,7 @@ from cogrelay.analytic import (
 )
 from cogrelay.model import Scheme
 from cogrelay.montecarlo import TRIALS_PER_BATCH, batch_generator, exponential_from_uniform
-from cogrelay.specfun import reg_lower_gamma, scaled_upper_gamma_term
+from cogrelay.specfun import _poisson_cdf_terms, reg_lower_gamma
 
 MAX_ORACLE_RELAYS = 12
 
@@ -113,28 +117,27 @@ def enumerated_outage(params, scheme):
     v = params.variances
     delta = params.delta
     if scheme is Scheme.MULTI_RELAY:
-        tail_h0 = lambda k: p_sum_below_h0(delta, v.sigma2_d, k)  # noqa: E731
-        tail_h1 = lambda k: p_sum_below_h1(  # noqa: E731
-            delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k, tail_h0(k))
+        tail_h0, tail_h1 = p_sum_below_h0, p_sum_below_h1
     elif scheme is Scheme.BEST_RELAY:
-        tail_h0 = lambda k: p_max_below_h0(delta, v.sigma2_d, k)  # noqa: E731
-        tail_h1 = lambda k: p_max_below_h1(  # noqa: E731
-            delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, k, tail_h0(k))
+        tail_h0, tail_h1 = p_max_below_h0, p_max_below_h1
     else:
         raise ValueError(f"no decoding sets in scheme {scheme}")
+    below_h0 = tail_h0(delta, v.sigma2_d, params.n_relays)
+    below_h1 = tail_h1(delta, v.sigma2_d, v.sigma2_pd, params.gamma_p, below_h0)
 
-    def split(fail, tail):
+    def split(fail, below):
+        # below[k - 1]: the second-hop tail at decoding-set size k
         empty, terms = 0.0, []
         for k, w in _subset_probabilities(fail):
             if k == 0:
                 empty = w
             else:
-                terms.append(w * tail(k))
+                terms.append(w * below[k - 1])
         return empty, math.fsum(terms)
 
     f0, f1 = _first_hop_failures(params)
-    empty0, sum0 = split(f0, tail_h0)
-    empty1, sum1 = split(f1, tail_h1)
+    empty0, sum0 = split(f0, below_h0)
+    empty1, sum1 = split(f1, below_h1)
     return OutageBreakdown(
         empty_h0=params.pi0 * empty0,
         empty_h1=params.pi1 * empty1,
@@ -168,15 +171,64 @@ def nested_loop_cardinality_pmf(groups):
     return pmf
 
 
+def per_size_scaled_upper_gamma_term(k, a, r):
+    """e^{c} * (1 - P(k, a + c)) * (a / (a + c))^k at one k, given
+    r = a / (a + c): e^{-a} sum_{m<k} a^m / m! r^(k - m) by Horner's rule
+    in r over the first k Poisson terms."""
+    if math.isinf(a):
+        return 0.0
+    tail = 0.0
+    for t in _poisson_cdf_terms(k, a):
+        tail = r * (tail + t)
+    return tail
+
+
+def per_size_sum_below_h0(delta, sigma2_d, k):
+    """Pr(sum of k relay->destination gains < delta) at one k."""
+    return reg_lower_gamma(k, delta / sigma2_d)
+
+
+def per_size_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0):
+    """Pr(sum of k relay gains < gamma_p*delta*interference gain + delta) at
+    one k, given below_h0 = ``per_size_sum_below_h0(delta, sigma2_d, k)``:
+    below_h0 plus ``per_size_scaled_upper_gamma_term`` of r = rho/(1 + rho)."""
+    a = delta / sigma2_d
+    rho = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
+    r = 1.0 if math.isinf(rho) else rho / (1.0 + rho)
+    return min(below_h0 + per_size_scaled_upper_gamma_term(k, a, r), 1.0)
+
+
+def per_size_max_below_h0(delta, sigma2_d, k):
+    """Pr(max of k relay->destination gains < delta) at one k."""
+    return (-math.expm1(-delta / sigma2_d)) ** k
+
+
+def per_size_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0):
+    """Pr(max of k relay gains < gamma_p*delta*interference gain + delta) at
+    one k, given below_h0 = ``per_size_max_below_h0(delta, sigma2_d, k)``:
+    sum_{n=0}^{k} C(k,n) q^{k-n} c^n E[v^n] with its n = 0 term below_h0,
+    forming r, q, c and the moments E[v^n] for this k alone."""
+    r = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
+    if math.isinf(k * r):
+        return 1.0
+    q = -math.expm1(-delta / sigma2_d)
+    c = math.exp(-delta / sigma2_d)
+    terms, moment = [below_h0], r / (1.0 + r)  # moment = E[v^n]
+    for n in range(1, k + 1):
+        terms.append(math.comb(k, n) * q ** (k - n) * c ** n * moment)
+        moment *= (n + 1) * r / (1.0 + (n + 1) * r)
+    return math.fsum(terms)
+
+
 def standalone_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
     """Pr(sum of k relay gains < gamma_p*delta*interference gain + delta) as
-    P(k, a) + ``scaled_upper_gamma_term`` of r = rho/(1 + rho), where
+    P(k, a) + ``per_size_scaled_upper_gamma_term`` of r = rho/(1 + rho), where
     a = delta/sigma2_d and rho is the interference ratio; P(k, a) is formed
     here, not taken from the H0 tail."""
     a = delta / sigma2_d
     rho = _interference_ratio(sigma2_pd, gamma_p, delta, sigma2_d)
     r = 1.0 if math.isinf(rho) else rho / (1.0 + rho)
-    return min(reg_lower_gamma(k, a) + scaled_upper_gamma_term(k, a, r), 1.0)
+    return min(reg_lower_gamma(k, a) + per_size_scaled_upper_gamma_term(k, a, r), 1.0)
 
 
 def standalone_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
@@ -347,7 +399,10 @@ def asymptotic_outage(params, scheme):
         return float(c * mpmath.mpf(params.delta) ** n)
 
 
+# as in the kernel, a gain or a threshold past the float range is inf and a
+# zero threshold times an infinite factor NaN; numpy's warnings are silenced
 @functools.lru_cache(maxsize=4)
+@np.errstate(over="ignore", invalid="ignore")
 def _whole_batch_gains(seed, batch_index, variances):
     """One batch's hypothesis uniforms and its gains, each link in one pass,
     as read-only arrays: (u0, g_pd, g_sd, g_si, g_pi, g_id).
@@ -370,6 +425,7 @@ def _whole_batch_gains(seed, batch_index, variances):
     return arrays
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def whole_batch_outage_flags(params, scheme, seed, batch_index):
     """Outage flags of one batch from a single whole-matrix draw.
 

@@ -76,7 +76,7 @@ def test_criterion_2_closed_form_tail_vs_quadrature():
         s2d = float(rng.uniform(0.2, 3.0))
         s2pd = float(rng.uniform(0.05, 2.0))
         gp = float(rng.uniform(0.1, 50.0))
-        got = p_sum_below_h1(delta, s2d, s2pd, gp, k, p_sum_below_h0(delta, s2d, k))
+        got = p_sum_below_h1(delta, s2d, s2pd, gp, p_sum_below_h0(delta, s2d, k))[-1]
         oracle, _ = integrate.quad(
             lambda y: (1.0 / s2pd)
             * math.exp(-y / s2pd)
@@ -96,10 +96,8 @@ def test_criterion_2_closed_form_tail_vs_quadrature():
         s2pd = float(rng.uniform(0.05, 2.0))
         gp = float(rng.uniform(0.01, 100.0))
         single = p_below_h1(delta, s2d, s2pd, gp)
-        below_h0 = p_sum_below_h0(delta, s2d, 1)
-        assert p_sum_below_h1(delta, s2d, s2pd, gp, 1, below_h0) == pytest.approx(
-            single, rel=1e-12
-        )
+        [got] = p_sum_below_h1(delta, s2d, s2pd, gp, p_sum_below_h0(delta, s2d, 1))
+        assert got == pytest.approx(single, rel=1e-12)
     report(2, f"200-point quadrature grid within 1e-8 (worst {worst:.2e}); k=1 reduction at 1e-12")
 
 

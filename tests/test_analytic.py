@@ -41,6 +41,10 @@ from oracle import (
     mp_outage,
     mp_sum_below_h1,
     nested_loop_cardinality_pmf,
+    per_size_max_below_h0,
+    per_size_max_below_h1,
+    per_size_sum_below_h0,
+    per_size_sum_below_h1,
     standalone_max_below_h1,
     standalone_sum_below_h1,
 )
@@ -74,17 +78,17 @@ def assert_rel_close(got, ref, rel=1e-12):
 
 
 def sum_tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
-    """``p_sum_below_h1`` at k, given the H0 tail at the same k as the
-    multi-relay scheme gives it."""
+    """``p_sum_below_h1``'s entry k, given the H0 tails up to k as the
+    multi-relay scheme gives them."""
     below_h0 = p_sum_below_h0(delta, sigma2_d, k)
-    return p_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0)
+    return p_sum_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, below_h0)[-1]
 
 
 def max_tail_h1(delta, sigma2_d, sigma2_pd, gamma_p, k):
-    """``p_max_below_h1`` at k, given the H0 tail at the same k as the
-    best-relay scheme gives it."""
+    """``p_max_below_h1``'s entry k, given the H0 tails up to k as the
+    best-relay scheme gives them."""
     below_h0 = p_max_below_h0(delta, sigma2_d, k)
-    return p_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0)
+    return p_max_below_h1(delta, sigma2_d, sigma2_pd, gamma_p, below_h0)[-1]
 
 
 def assert_matches_oracle(params, scheme):
@@ -208,18 +212,18 @@ class TestFirstHopProbs:
 
 class TestSecondHopSum:
     def test_zero_threshold(self):
-        assert p_sum_below_h0(0.0, 1.0, 3) == 0.0
+        assert p_sum_below_h0(0.0, 1.0, 3)[-1] == 0.0
         assert sum_tail_h1(0.0, 1.0, 0.2, 10.0, 3) == 0.0
         assert max_tail_h1(0.0, 1.0, 0.2, 10.0, 3) == 0.0
 
     def test_single_relay_reduces_to_exponential_cdf(self):
-        assert p_sum_below_h0(0.3, 1.0, 1) == pytest.approx(
+        assert p_sum_below_h0(0.3, 1.0, 1)[-1] == pytest.approx(
             p_below_h0(0.3, 1.0), rel=1e-14
         )
 
     def test_two_relay_value(self):
         # 1 - 1.3 e^{-0.3}; cross-checked against summed exponential draws
-        assert p_sum_below_h0(0.3, 1.0, 2) == pytest.approx(
+        assert p_sum_below_h0(0.3, 1.0, 2)[-1] == pytest.approx(
             0.03693631311376677, rel=1e-12
         )
 
@@ -283,17 +287,17 @@ class TestSecondHopSum:
     def test_h1_weak_interference_collapses_to_h0(self):
         for k in (1, 3, 6):
             weak = sum_tail_h1(0.4, 1.0, 0.2, 1e-9, k)
-            assert weak == pytest.approx(p_sum_below_h0(0.4, 1.0, k), rel=1e-7)
+            assert weak == pytest.approx(p_sum_below_h0(0.4, 1.0, k)[-1], rel=1e-7)
 
     @pytest.mark.parametrize("k", (1, 6, 24))
     def test_limits_where_the_arguments_leave_the_float_range(self, k):
         # a = delta/sigma2_d overflows: P(k, inf) = 1 and the interference
         # term vanishes
-        assert p_sum_below_h0(30.0, 1e-308, k) == 1.0
+        assert p_sum_below_h0(30.0, 1e-308, k)[-1] == 1.0
         assert sum_tail_h1(30.0, 1e-308, 0.2, 10.0, k) == 1.0
         # sigma2_pd*gamma_p underflows to 0 (c = inf): no interference left
         assert 1e-320 * 1e-10 == 0.0
-        assert sum_tail_h1(0.3, 1.0, 1e-320, 1e-10, k) == p_sum_below_h0(0.3, 1.0, k)
+        assert sum_tail_h1(0.3, 1.0, 1e-320, 1e-10, k) == p_sum_below_h0(0.3, 1.0, k)[-1]
         # it overflows (c = 0): the threshold is unbounded
         assert sum_tail_h1(0.3, 1.0, 1e300, 1e300, k) == 1.0
         assert sum_tail_h1(0.0, 1.0, 1e300, 1e300, k) == 0.0
@@ -301,8 +305,8 @@ class TestSecondHopSum:
 
 class TestSecondHopMax:
     def test_single_relay_equals_sum(self):
-        assert p_max_below_h0(0.3, 1.0, 1) == pytest.approx(
-            p_sum_below_h0(0.3, 1.0, 1), rel=1e-14
+        assert p_max_below_h0(0.3, 1.0, 1)[-1] == pytest.approx(
+            p_sum_below_h0(0.3, 1.0, 1)[-1], rel=1e-14
         )
         assert max_tail_h1(0.3, 1.0, 0.2, 10.0, 1) == pytest.approx(
             sum_tail_h1(0.3, 1.0, 0.2, 10.0, 1), rel=1e-12
@@ -310,7 +314,7 @@ class TestSecondHopMax:
 
     def test_h0_two_relays(self):
         # (1 - e^{-0.3})^2; cross-checked against max of paired draws
-        assert p_max_below_h0(0.3, 1.0, 2) == pytest.approx(
+        assert p_max_below_h0(0.3, 1.0, 2)[-1] == pytest.approx(
             0.06717519473059069, rel=1e-12
         )
 
@@ -406,9 +410,9 @@ def test_h0_tails_and_first_hop_over_whole_range(sigma2):
                 )
             for k in (1, 2, 6, 12, 24):
                 assert_exact_within_tail_tolerance(
-                    p_sum_below_h0(delta, sigma2, k), mpmath.gammainc(k, 0, x, regularized=True)
+                    p_sum_below_h0(delta, sigma2, k)[-1], mpmath.gammainc(k, 0, x, regularized=True)
                 )
-                assert_exact_within_tail_tolerance(p_max_below_h0(delta, sigma2, k), below**k)
+                assert_exact_within_tail_tolerance(p_max_below_h0(delta, sigma2, k)[-1], below**k)
 
 
 @pytest.mark.parametrize("scheme", (Scheme.MULTI_RELAY, Scheme.BEST_RELAY))
@@ -571,21 +575,22 @@ def is_ratio(r):
     return 0.0 <= r <= 1.0
 
 
-def is_probability(p):
-    return 0.0 <= p <= 1.0
+def are_probabilities(ps):
+    return type(ps) is list and len(ps) >= 1 and all(0.0 <= p <= 1.0 for p in ps)
 
 
 # what the closed forms and special functions assume of their arguments,
 # positionally: thresholds delta finite and >= 0, variances and gamma_p
-# finite and > 0, shapes ints >= 1, Erlang arguments >= 0, ratios in [0, 1],
-# and the H0 tail each H1 tail starts from a probability
+# finite and > 0, shapes and relay counts ints >= 1, Erlang arguments >= 0,
+# ratios in [0, 1], and the H0 tails each H1 tail starts from a non-empty
+# list of probabilities
 PRECONDITIONS = {
     "p_below_h0": (is_threshold, is_scale),
     "p_below_h1": (is_threshold, is_scale, is_scale, is_scale),
     "p_sum_below_h0": (is_threshold, is_scale, is_shape),
     "p_max_below_h0": (is_threshold, is_scale, is_shape),
-    "p_sum_below_h1": (is_threshold, is_scale, is_scale, is_scale, is_shape, is_probability),
-    "p_max_below_h1": (is_threshold, is_scale, is_scale, is_scale, is_shape, is_probability),
+    "p_sum_below_h1": (is_threshold, is_scale, is_scale, is_scale, are_probabilities),
+    "p_max_below_h1": (is_threshold, is_scale, is_scale, is_scale, are_probabilities),
     "reg_lower_gamma": (is_shape, is_argument),
     "scaled_upper_gamma_term": (is_shape, is_argument, is_ratio),
 }
@@ -665,25 +670,39 @@ def pooled_relay_configs(draw):
 
 
 class TestBitIdenticalToTheStandaloneForms:
-    """The H1 tails start from the H0 tail the relay schemes computed at
-    the same k, and the first hop counts each group in one pass; both keep
-    every bit of the forms in tests/oracle.py that did neither."""
+    """Each second-hop tail is one call per point that returns every k, the
+    H1 tails start from the H0 tails the relay schemes computed, and the
+    first hop counts each group in one pass; all keep every bit of the
+    forms in tests/oracle.py that did none of this."""
 
-    @given(k=st.integers(1, 24), delta=threshold, sigma2_d=variance, sigma2_pd=variance,
+    @given(n=st.integers(1, 24), delta=threshold, sigma2_d=variance, sigma2_pd=variance,
            gamma_p=interference_scale)
     # the interference ratio overflows, sigma2_pd*gamma_p alone overflows,
     # k*r overflows with r finite, a = delta/sigma2_d overflows, and delta is 0
-    @example(k=6, delta=30.0, sigma2_d=1e-300, sigma2_pd=0.2, gamma_p=1e10)
-    @example(k=2, delta=0.3, sigma2_d=1e308, sigma2_pd=1e300, gamma_p=1e9)
-    @example(k=24, delta=1.0, sigma2_d=1.0, sigma2_pd=1e300, gamma_p=1e7)
-    @example(k=24, delta=30.0, sigma2_d=1e-308, sigma2_pd=0.2, gamma_p=10.0)
-    @example(k=3, delta=0.0, sigma2_d=1.0, sigma2_pd=1e300, gamma_p=1e300)
-    @example(k=12, delta=5e-324, sigma2_d=1e-320, sigma2_pd=1e-320, gamma_p=1e-10)
+    @example(n=6, delta=30.0, sigma2_d=1e-300, sigma2_pd=0.2, gamma_p=1e10)
+    @example(n=2, delta=0.3, sigma2_d=1e308, sigma2_pd=1e300, gamma_p=1e9)
+    @example(n=24, delta=1.0, sigma2_d=1.0, sigma2_pd=1e300, gamma_p=1e7)
+    @example(n=24, delta=30.0, sigma2_d=1e-308, sigma2_pd=0.2, gamma_p=10.0)
+    @example(n=3, delta=0.0, sigma2_d=1.0, sigma2_pd=1e300, gamma_p=1e300)
+    @example(n=12, delta=5e-324, sigma2_d=1e-320, sigma2_pd=1e-320, gamma_p=1e-10)
     @settings(deadline=None)
-    def test_h1_tails(self, k, delta, sigma2_d, sigma2_pd, gamma_p):
-        args = (delta, sigma2_d, sigma2_pd, gamma_p, k)
-        assert repr(sum_tail_h1(*args)) == repr(standalone_sum_below_h1(*args))
-        assert repr(max_tail_h1(*args)) == repr(standalone_max_below_h1(*args))
+    def test_tails(self, n, delta, sigma2_d, sigma2_pd, gamma_p):
+        # entry k of the n-relay call, for every k <= n
+        h1_args = (delta, sigma2_d, sigma2_pd, gamma_p)
+        sum_h0 = p_sum_below_h0(delta, sigma2_d, n)
+        max_h0 = p_max_below_h0(delta, sigma2_d, n)
+        sum_h1 = p_sum_below_h1(*h1_args, sum_h0)
+        max_h1 = p_max_below_h1(*h1_args, max_h0)
+        assert len(sum_h0) == len(max_h0) == len(sum_h1) == len(max_h1) == n
+        for k in range(1, n + 1):
+            below_sum = per_size_sum_below_h0(delta, sigma2_d, k)
+            below_max = per_size_max_below_h0(delta, sigma2_d, k)
+            assert repr(sum_h0[k - 1]) == repr(below_sum)
+            assert repr(max_h0[k - 1]) == repr(below_max)
+            assert repr(sum_h1[k - 1]) == repr(per_size_sum_below_h1(*h1_args, k, below_sum))
+            assert repr(max_h1[k - 1]) == repr(per_size_max_below_h1(*h1_args, k, below_max))
+            assert repr(sum_h1[k - 1]) == repr(standalone_sum_below_h1(*h1_args, k))
+            assert repr(max_h1[k - 1]) == repr(standalone_max_below_h1(*h1_args, k))
 
     @given(config=st.one_of(accepted_configs(), pooled_relay_configs()))
     @example(config={"relay_counts": [3], "sigma2_si": [1e-300, 1.0, 1e308],
@@ -887,20 +906,28 @@ class TestBestRelayOutage:
             assert_matches_oracle(params, Scheme.BEST_RELAY)
 
 
-def test_relay_schemes_call_each_tail_once_per_size_through_the_module_globals(monkeypatch, make_params):
-    # bench/layers.py counts analytic.tail_calls by wrapping these names on the module
-    # position of k: (delta, sigma2_d, k) and (delta, sigma2_d, sigma2_pd, gamma_p, k, below_h0)
-    tails = {"p_sum_below_h0": 2, "p_sum_below_h1": 4, "p_max_below_h0": 2, "p_max_below_h1": 4}
+def test_relay_schemes_call_each_tail_once_per_point_through_the_module_globals(monkeypatch, make_params):
+    # bench/layers.py counts analytic.tail_calls and the specfun calls by
+    # wrapping these names on the module; each tail returns every k at once,
+    # and the multi-relay H0 tail calls reg_lower_gamma at each k
     params = make_params(10.0, n_relays=6)
     expected = (outage_multi_relay(params), outage_best_relay(params))
-    sizes = {name: [] for name in tails}
-    for name, at in tails.items():
-        def counted(*args, _tail=getattr(analytic, name), _sizes=sizes[name], _at=at):
-            _sizes.append(args[_at])
-            return _tail(*args)
+    names = ("p_sum_below_h0", "p_sum_below_h1", "p_max_below_h0", "p_max_below_h1",
+             "reg_lower_gamma", "scaled_upper_gamma_term")
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _fn=getattr(analytic, name), _calls=calls[name]):
+            _calls.append(args)
+            return _fn(*args)
         monkeypatch.setattr(analytic, name, counted)
     assert (analytic.outage_multi_relay(params), analytic.outage_best_relay(params)) == expected
-    assert sizes == {name: [1, 2, 3, 4, 5, 6] for name in tails}
+    delta, s2d = params.delta, params.variances.sigma2_d
+    assert calls["p_sum_below_h0"] == calls["p_max_below_h0"] == [(delta, s2d, 6)]
+    for name in ("p_sum_below_h1", "p_max_below_h1"):
+        [args] = calls[name]
+        assert len(args[-1]) == 6
+    assert [k for k, _ in calls["reg_lower_gamma"]] == [1, 2, 3, 4, 5, 6]
+    assert [args[0] for args in calls["scaled_upper_gamma_term"]] == [6]
 
 
 class TestDirectOutage:

@@ -388,6 +388,20 @@ class TestValidate:
         assert report.max_z <= 3.0
         assert "PASS" in report.render()
 
+    def test_passes_where_relay_to_destination_gains_overflow(self):
+        # at sigma2_d = 1e308 about one gain in six overflows to inf; the
+        # kernel once forwarded inf * False = NaN for a relay that did not
+        # decode, missed those outages and failed with max |z| = 73 at 1e5
+        # trials
+        spec = build_spec({
+            "schemes": ["multi", "best"], "relay_counts": [2], "gamma_s_db": [-3070.0],
+            "sigma2_si": [1e308, 1.0], "sigma2_pi": [0.2, 0.2], "sigma2_d": 1e308,
+            "trials": 10_000, "seed": 1,
+        })
+        report = run_validate(spec)
+        assert report.n_points == 2
+        assert report.passed, report.render()
+
     def test_corrupted_analytic_fails_and_lists_offenders(self):
         spec = build_spec({"gamma_s_db": [5.0, 15.0], "schemes": ["multi"], "trials": 20_000})
         rows = list(iter_sweep_rows(spec))

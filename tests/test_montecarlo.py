@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestSampling:
         out = np.empty_like(u)
         assert exponential_from_uniform(u, 0.2, out=out) is out
         assert np.array_equal(out.view(np.int64), exponential_from_uniform(u, 0.2).view(np.int64))
+
+    def test_unit_gain_bound(self):
+        # the kernel forwards g * decoded only where _UNIT_GAIN_BOUND*mean is
+        # finite: there even the largest uniform below 1 gives a finite gain,
+        # while a slightly larger mean overflows it, and inf * False is NaN
+        largest = np.nextafter(1.0, 0.0)
+        assert exponential_from_uniform(largest, 1.0) < montecarlo._UNIT_GAIN_BOUND
+        mean = sys.float_info.max / montecarlo._UNIT_GAIN_BOUND
+        assert math.isfinite(montecarlo._UNIT_GAIN_BOUND * mean)
+        assert np.isfinite(exponential_from_uniform(largest, mean))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(exponential_from_uniform(largest, sys.float_info.max / 36.7))
+            assert np.isnan(exponential_from_uniform(np.array([largest]), 1e308) * False)
 
     def test_seeded_sample_mean_golden(self):
         draws = exponential_from_uniform(batch_generator(2024, 0).random(10**6), 0.2)
@@ -179,7 +193,7 @@ class TestTrialOutage:
             10.0, pf=0.0, n_relays=3, sigma2_si=1e9, sigma2_pi=0.2
         )
         flags = outage_flags(params, Scheme.MULTI_RELAY, 200_000, 303)
-        expected = p_sum_below_h0(0.3, 1.0, 3)
+        expected = p_sum_below_h0(0.3, 1.0, 3)[-1]
         emp = float(flags.mean())
         assert abs(emp - expected) <= 4.0 * math.sqrt(expected * (1 - expected) / 200_000)
 
@@ -188,18 +202,18 @@ class TestTrialOutage:
 SCHEME_TUPLES = [t for r in (1, 2, 3) for t in itertools.permutations(Scheme, r)]
 
 
-def _kernel_params(make_params, heterogeneous, n_relays, **kwargs):
+def _kernel_params(make_params, heterogeneous, n_relays, sigma2_d=1.0, **kwargs):
     variances = None
     if heterogeneous:
         rng = np.random.default_rng(n_relays)
         variances = ChannelVariances(
             sigma2_si=tuple(rng.uniform(0.5, 2.0, n_relays)),
             sigma2_pi=tuple(rng.uniform(0.1, 0.4, n_relays)),
-            sigma2_d=1.0,
+            sigma2_d=sigma2_d,
             sigma2_pd=0.2,
             sigma2_sd=1.0,
         )
-    return make_params(8.0, n_relays=n_relays, variances=variances, **kwargs)
+    return make_params(8.0, n_relays=n_relays, variances=variances, sigma2_d=sigma2_d, **kwargs)
 
 
 # Row counts around the block and batch edges (BLOCK_ROWS = 2048), plus two
@@ -390,18 +404,27 @@ class TestOutageMonotoneInSensing:
 
 class TestSweepLine:
     @kernel_cases
-    @pytest.mark.parametrize("gammas_db", LINE_GAMMAS, ids=["one-point", "repeated", "early-stop"])
+    @pytest.mark.parametrize(
+        "gammas_db, sigma2_d",
+        [*((g, 1.0) for g in LINE_GAMMAS), ((-3070.0, -3075.0), 1e308)],
+        ids=["one-point", "repeated", "early-stop", "overflowing-gains"],
+    )
     @pytest.mark.parametrize(
         "pd, pf", GROUP_PAIRS, ids=["headline", "no-h1-row", "all-h1-rows", "pd0.65-pf0.35"]
     )
     def test_points_match_whole_batch_kernel(
-        self, pd, pf, gammas_db, heterogeneous, n_relays, make_params
+        self, pd, pf, gammas_db, sigma2_d, heterogeneous, n_relays, make_params
     ):
         # one line alone in its call, so its own pair sets the H1 rows: every
         # point sharing the draw gets exactly the flags of the oracle at that
         # point alone, for the full batch and two prefixes, with the early
-        # stop keyed on both relay schemes, on multi alone, or on none
-        points = _line_points(make_params, heterogeneous, n_relays, gammas_db, pd=pd, pf=pf)
+        # stop keyed on both relay schemes, on multi alone, or on none.  At
+        # sigma2_d = 1e308 about one relay->destination gain in six
+        # overflows to inf, and at delta ~ 1e308 no relay decodes: every
+        # relay trial is in outage, which inf * False = NaN once hid
+        points = _line_points(
+            make_params, heterogeneous, n_relays, gammas_db, sigma2_d=sigma2_d, pd=pd, pf=pf
+        )
         for schemes in PREFIX_SCHEMES:
             for rows in (TRIALS_PER_BATCH, 1, 2049):
                 _check_kernel(points, schemes, 1, rows)

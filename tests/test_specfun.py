@@ -4,10 +4,11 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 from cogrelay.specfun import reg_lower_gamma, scaled_upper_gamma_term
+from oracle import per_size_scaled_upper_gamma_term
 
 mpmath.mp.dps = 50
 
@@ -122,9 +123,9 @@ class TestRegLowerGamma:
 
 
 def scaled_term(k: int, a: float, c: float) -> float:
-    """scaled_upper_gamma_term at r = a/(a+c) formed in floats, and at r = 1
-    where a = inf, as a/(a+c) is NaN there."""
-    return scaled_upper_gamma_term(k, a, 1.0 if math.isinf(a) else a / (a + c))
+    """scaled_upper_gamma_term's entry k at r = a/(a+c) formed in floats, and
+    at r = 1 where a = inf, as a/(a+c) is NaN there."""
+    return scaled_upper_gamma_term(k, a, 1.0 if math.isinf(a) else a / (a + c))[-1]
 
 
 class TestScaledUpperGammaTerm:
@@ -195,8 +196,8 @@ class TestScaledUpperGammaTerm:
         # interference ratio, stays moderate; every Poisson term past the
         # first is 0 there and the sum is r^k, its limit as a -> 0 at fixed r
         # (0.75^k is exact in doubles for these k)
-        assert scaled_upper_gamma_term(k, 0.0, 0.75) == 0.75**k
-        assert scaled_upper_gamma_term(k, 0.0, 1.0) == 1.0
+        assert scaled_upper_gamma_term(k, 0.0, 0.75)[-1] == 0.75**k
+        assert scaled_upper_gamma_term(k, 0.0, 1.0)[-1] == 1.0
 
     @given(
         k=st.integers(min_value=1, max_value=20),
@@ -205,3 +206,18 @@ class TestScaledUpperGammaTerm:
     )
     def test_nonnegative(self, k, a, c):
         assert scaled_term(k, a, c) >= 0.0
+
+    @given(
+        n=st.integers(min_value=1, max_value=24),
+        a=st.one_of(st.just(0.0), st.just(math.inf), st.floats(min_value=0.0, max_value=800.0)),
+        r=st.floats(min_value=0.0, max_value=1.0),
+    )
+    # e^{-a} subnormal (past ~708) and 0.0 (past ~745), so the terms are
+    # formed in log space
+    @example(n=24, a=720.0, r=0.999)
+    @example(n=24, a=746.0, r=0.5)
+    def test_every_k_has_the_bits_of_a_pass_that_stops_at_k(self, n, a, r):
+        got = scaled_upper_gamma_term(n, a, r)
+        assert len(got) == n
+        for k in range(1, n + 1):
+            assert repr(got[k - 1]) == repr(per_size_scaled_upper_gamma_term(k, a, r))
